@@ -45,7 +45,7 @@ from .mcurves import (
     f_positivity,
     m_linear_combine,
 )
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, parse_rational
 from .strata import DivisorCorrespondence, phi_divisor_map
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "enumerate_shapes",
     "f_curve_value",
     "f_positivity",
-    "format_rational",
     "generate_constraints",
     "k_build",
     "m_linear_combine",

@@ -5,15 +5,12 @@ exact "p/q" strings, and exit codes carry the verdict:
     1  refuted / infeasible
     2  inequalities pass but the marking count exceeds the decidable range
     3+ usage, parse, or data errors
-
-FCONE_THREADS caps the parallelism of full-enumeration scans (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -107,17 +104,6 @@ def parse_bounds_spec(text: str) -> Bounds:
         raise CliError(str(exc)) from exc
 
 
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("FCONE_THREADS")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise CliError(f"FCONE_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
-
-
 def _emit(report: RunReport, as_json: bool, text: str) -> int:
     if as_json:
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -161,11 +147,11 @@ def _witness_lines(report) -> list[str]:
     return lines
 
 
-def cmd_verify(args, threads) -> int:
+def cmd_verify(args) -> int:
     if args.n < 3:
         raise CliError(f"--n must be >= 3, got {args.n}")
     combo = parse_combo_spec(args.combo, args.n)
-    report = verify_witness(args.n, combo, threads=threads)
+    report = verify_witness(args.n, combo)
     code = _witness_exit(report.verdict)
     run = RunReport(
         "verify",
@@ -176,11 +162,11 @@ def cmd_verify(args, threads) -> int:
     return _emit(run, args.json, "\n".join(_witness_lines(report)))
 
 
-def cmd_search(args, threads) -> int:
+def cmd_search(args) -> int:
     if args.n < 3:
         raise CliError(f"--n must be >= 3, got {args.n}")
     bounds = parse_bounds_spec(args.bounds) if args.bounds else None
-    outcome = search_witness(args.n, bounds, threads=threads)
+    outcome = search_witness(args.n, bounds)
     feas = outcome.feasibility
     if not feas.feasible:
         code = EXIT_REFUTED
@@ -205,15 +191,13 @@ def cmd_search(args, threads) -> int:
     return _emit(run, args.json, "\n".join(text_lines))
 
 
-def cmd_fcurves(args, threads) -> int:
+def cmd_fcurves(args) -> int:
     data = _load_json_file(args.divisor)
     try:
         H = MDivisor.from_json_dict(data)
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(f"bad divisor file: {exc}") from exc
-    decision = f_positivity(
-        H, args.sense, all_witnesses=args.all_witnesses, threads=threads
-    )
+    decision = f_positivity(H, args.sense, all_witnesses=args.all_witnesses)
     code = {
         Verdict.POSITIVE: EXIT_OK,
         Verdict.NOT_POSITIVE: EXIT_REFUTED,
@@ -254,8 +238,7 @@ def _divisor_from_args(args) -> KDivisor:
     return div
 
 
-def cmd_pullback(args, threads) -> int:
-    del threads
+def cmd_pullback(args) -> int:
     H = _divisor_from_args(args)
     if args.direction == "alpha":
         if H.n < 3:
@@ -275,8 +258,7 @@ def cmd_pullback(args, threads) -> int:
     return _emit(run, args.json, text)
 
 
-def cmd_strata(args, threads) -> int:
-    del threads
+def cmd_strata(args) -> int:
     if args.n < 2:
         raise CliError(f"--n must be >= 2, got {args.n}")
     corr = phi_divisor_map(args.n)
@@ -293,7 +275,7 @@ def _default_expectations() -> str:
     return str(resources.files("fcone").joinpath("data/lemma_expectations.json"))
 
 
-def cmd_lemmas(args, threads) -> int:
+def cmd_lemmas(args) -> int:
     path = args.expectations or _default_expectations()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -315,7 +297,7 @@ def cmd_lemmas(args, threads) -> int:
     for spec in (spec4, spec5):
         n = spec["n"]
         combo = BoundaryCombo.of(n, {int(s): parse_rational(q) for s, q in spec["combo"].items()})
-        report = verify_witness(n, combo, threads=threads)
+        report = verify_witness(n, combo)
         payload[f"witness_{n}"] = report.to_json_dict()
         got = {
             "verdict": report.verdict.value,
@@ -336,7 +318,7 @@ def cmd_lemmas(args, threads) -> int:
         {int(s): parse_rational(q) for s, q in spec6["bounds"].get("lower", {}).items()},
         {int(s): parse_rational(q) for s, q in spec6["bounds"].get("upper", {}).items()},
     )
-    outcome = search_witness(n6, bounds6, threads=threads)
+    outcome = search_witness(n6, bounds6)
     payload["search_6"] = outcome.to_json_dict()
     status = "feasible" if outcome.feasibility.feasible else "infeasible"
     if status != spec6["status"]:
@@ -431,8 +413,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        threads = _threads_from_env()
-        return args.func(args, threads)
+        return args.func(args)
     except CliError as exc:
         print(f"fcone: error: {exc}", file=sys.stderr)
         return exc.code

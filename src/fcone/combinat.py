@@ -3,8 +3,7 @@
 Subsets are bitmasks, partitions into four nonempty blocks are the index
 sets of F-curves, and shapes are their orbits under permutations fixing a
 designated special label. Labels are 1-based throughout. Everything here
-is immutable and hashable, so values double as divisor keys and can be
-shared freely between threads.
+is immutable and hashable, so values double as divisor keys.
 """
 
 from __future__ import annotations
@@ -83,9 +82,6 @@ class Subset:
         if other.m != self.m:
             raise ValueError(f"ambient mismatch: {self.m} vs {other.m}")
         return Subset(self.mask | other.mask, self.m)
-
-    def isdisjoint(self, other: "Subset") -> bool:
-        return not self.mask & other.mask
 
     def relabel(self, sigma: Sequence[int]) -> "Subset":
         """Apply a permutation given as the image tuple (sigma[i-1] = image of i)."""

@@ -311,10 +311,6 @@ class ChsDecision:
     beta: tuple[tuple[int, Fraction], ...]
     beta_violations: tuple[int, ...]
 
-    @property
-    def beta_map(self) -> dict[int, Fraction]:
-        return dict(self.beta)
-
     def to_json_dict(self) -> dict:
         return {
             "sense": self.sense,
@@ -330,7 +326,6 @@ def chs_ample(
     sense: Literal["ample", "anti-ample"] = "ample",
     *,
     all_witnesses: bool = False,
-    threads: int | None = None,
 ) -> ChsDecision:
     """Decide (anti-)ampleness through the two pullbacks.
 
@@ -348,7 +343,6 @@ def chs_ample(
         pullback_alpha(H),
         "positive" if sense == "ample" else "negative",
         all_witnesses=all_witnesses,
-        threads=threads,
     )
     degrees = beta_degrees(H)
     if sense == "ample":

@@ -77,10 +77,6 @@ class LinearForm:
     def relation(self) -> str:
         return "<0" if self.strict else "<=0"
 
-    @property
-    def coeff_map(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
     def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
         total = self.constant
         for s, q in self.coeffs:
@@ -371,7 +367,8 @@ def _infeasible(
 ) -> FeasibilityResult:
     multipliers = tuple(hist.get(i, Fraction(0)) for i in range(len(eff)))
     result = FeasibilityResult(eff, multipliers=multipliers)
-    assert result.check(), "derived infeasibility certificate failed to validate"
+    if not result.check():
+        raise RuntimeError("derived infeasibility certificate failed to validate")
     return result
 
 
@@ -402,7 +399,8 @@ def _pick_value(
         return lb[0] + 1
     if lb[0] < ub[0]:
         return (lb[0] + ub[0]) / 2
-    assert lb[0] == ub[0] and not lb[1] and not ub[1], "elimination missed a conflict"
+    if lb[0] != ub[0] or lb[1] or ub[1]:
+        raise RuntimeError("elimination missed a conflict")
     return lb[0]
 
 
@@ -453,10 +451,7 @@ def _as_combo(n: int, combo: BoundaryCombo | Mapping[int, RationalLike]) -> Boun
 
 
 def verify_witness(
-    n: int,
-    combo: BoundaryCombo | Mapping[int, RationalLike],
-    *,
-    threads: int | None = None,
+    n: int, combo: BoundaryCombo | Mapping[int, RationalLike]
 ) -> WitnessReport:
     """Check a candidate boundary by scanning every F-curve (never the
     reduced system) and every line-section degree."""
@@ -464,14 +459,15 @@ def verify_witness(
         raise ValueError(f"witness verification needs n >= 3, got {n}")
     combo = _as_combo(n, combo)
     H = canonical_class(n) + combo.to_divisor()
-    decision = chs_ample(H, "anti-ample", threads=threads)
+    decision = chs_ample(H, "anti-ample")
 
     A = pullback_alpha(H)
     values = [f_curve_value(A, P) for P in enumerate_four_partitions(n + 1)]
     f_min, f_max = min(values), max(values)
 
     degs = {d for _, d in decision.beta}
-    assert len(degs) == 1, "symmetric combination must have label-independent degree"
+    if len(degs) != 1:
+        raise RuntimeError("symmetric combination must have label-independent degree")
     beta = degs.pop()
 
     in_unit = all(0 <= q <= 1 for _, q in combo.a)
@@ -520,12 +516,7 @@ class SearchOutcome:
         return out
 
 
-def search_witness(
-    n: int,
-    bounds: Bounds | None = None,
-    *,
-    threads: int | None = None,
-) -> SearchOutcome:
+def search_witness(n: int, bounds: Bounds | None = None) -> SearchOutcome:
     """Solve the reduced system for a boundary combination, then confirm any
     feasible point by full enumeration before reporting it.
 
@@ -540,7 +531,7 @@ def search_witness(
     if not feas.feasible:
         return SearchOutcome(feas, None)
     combo = BoundaryCombo.of(n, {s: q for s, q in feas.point.items() if q})
-    report = verify_witness(n, combo, threads=threads)
+    report = verify_witness(n, combo)
     if report.verdict is WitnessVerdict.REFUTED and not (
         report.f_max < 0 and report.beta_degree < 0
     ):

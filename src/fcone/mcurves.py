@@ -23,8 +23,6 @@ m it is necessary but the sufficiency is open, and the verdict says so.
 from __future__ import annotations
 
 import enum
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, Mapping, Sequence
@@ -244,58 +242,37 @@ def _satisfies(sense: str, strict: bool) -> Callable[[Fraction], bool]:
     raise ValueError(f"unknown sense {sense!r}")
 
 
-def _scan_chunk(
-    H: MDivisor,
-    chunk: Sequence[tuple[int, FourPartition]],
-    ok: Callable[[Fraction], bool],
-    all_witnesses: bool,
-) -> list[tuple[int, FValue]]:
-    hits: list[tuple[int, FValue]] = []
-    for idx, P in chunk:
-        v = f_curve_value(H, P)
-        if not ok(v):
-            hits.append((idx, FValue(P, v)))
-            if not all_witnesses:
-                break
-    return hits
-
-
 def f_positivity(
     H: MDivisor,
     sense: Literal["positive", "negative"],
     *,
     strict: bool = True,
     all_witnesses: bool = False,
-    threads: int | None = None,
 ) -> AmpDecision:
     """Scan every F-curve; report the first violation in enumeration order.
 
-    ``threads`` > 1 splits the scan into chunks reduced deterministically by
-    minimum enumeration index, so the witness never depends on scheduling.
+    Partitions are consumed as they are enumerated, so unless
+    ``all_witnesses`` is set the scan stops at the first violation.
     """
     if H.m < 4:
         raise ValueError(f"no F-curves on m={H.m} < 4 markings")
     ok = _satisfies(sense, strict)
-    indexed = list(enumerate(enumerate_four_partitions(H.m)))
-    if threads and threads > 1:
-        nchunks = min(threads, len(indexed))
-        chunks = [indexed[i::nchunks] for i in range(nchunks)]
-        with ThreadPoolExecutor(max_workers=nchunks) as pool:
-            parts = pool.map(
-                lambda ch: _scan_chunk(H, ch, ok, all_witnesses), chunks
-            )
-            hits = sorted(itertools.chain.from_iterable(parts), key=lambda t: t[0])
-    else:
-        hits = _scan_chunk(H, indexed, ok, all_witnesses)
+    hits: list[FValue] = []
+    for P in enumerate_four_partitions(H.m):
+        v = f_curve_value(H, P)
+        if not ok(v):
+            hits.append(FValue(P, v))
+            if not all_witnesses:
+                break
     if hits:
-        first = hits[0][1]
+        first = hits[0]
         return AmpDecision(
             Verdict.NOT_POSITIVE,
             sense,
             strict,
             witness=first.partition,
             witness_value=first.value,
-            violations=tuple(v for _, v in hits) if all_witnesses else (),
+            violations=tuple(hits) if all_witnesses else (),
         )
     verdict = (
         Verdict.POSITIVE

@@ -1,4 +1,4 @@
-"""Exact rational parsing and formatting. All numbers travel as "p/q" strings."""
+"""Exact rational parsing. All numbers travel as "p/q" strings."""
 
 from __future__ import annotations
 
@@ -30,7 +30,3 @@ def as_rational(value: RationalLike) -> Fraction:
         return parse_rational(value)
     # floats carry rounding error, so they are banned outright
     raise TypeError(f"not an exact rational: {value!r} ({type(value).__name__})")
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)

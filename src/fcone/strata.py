@@ -30,18 +30,17 @@ class DivisorCorrespondence:
 
 
 def phi_divisor_map(n: int) -> DivisorCorrespondence:
-    """The full boundary correspondence, with the coverage check built in."""
+    """One pair per map-side B-key, in ``boundary_keys`` order, with the
+    curve-side key for the same index set among n+3 labels.
+
+    Distinct B-keys give distinct curve-side keys: a key that flips to its
+    complement then holds n+1, n+2 and n+3, so it never equals a key kept
+    as it is, and distinct sets have distinct complements.
+    """
     if n < 2:
         raise ValueError(f"no boundary keys on n={n} < 2")
     m = n + 3
-    pairs = []
-    for b_key in boundary_keys(n):
-        delta = canonical_key(Subset(b_key.mask, m))
-        pairs.append((delta, b_key))
-    targets = [b for _, b in pairs]
-    expected = list(boundary_keys(n))
-    if targets != expected:
-        raise AssertionError("correspondence misses part of the boundary key space")
-    if len({delta for delta, _ in pairs}) != len(pairs):
-        raise AssertionError("curve-side keys collided after canonicalization")
-    return DivisorCorrespondence(n, tuple(pairs))
+    pairs = tuple(
+        (canonical_key(Subset(b_key.mask, m)), b_key) for b_key in boundary_keys(n)
+    )
+    return DivisorCorrespondence(n, pairs)

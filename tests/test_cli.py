@@ -222,12 +222,3 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "verify", "--n", "4", "--weird")[0] == EXIT_USAGE
-
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FCONE_THREADS", "3")
-        code, out, _ = run(capsys, "verify", "--n", "4", "--combo", "a4=1")
-        assert code == EXIT_OK and "VERIFIED" in out
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FCONE_THREADS", "lots")
-        assert run(capsys, "verify", "--n", "4", "--combo", "a4=1")[0] == EXIT_USAGE

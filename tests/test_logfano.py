@@ -15,6 +15,7 @@ from oracle_lp import (
 from fcone.kmaps import BoundaryCombo
 from fcone.logfano import (
     Bounds,
+    FeasibilityResult,
     LinearForm,
     WitnessVerdict,
     generate_constraints,
@@ -171,6 +172,13 @@ class TestSolver:
         assert res.feasible and res.check()
         report = verify_witness(5, {s: q for s, q in res.point.items()})
         assert report.verdict is WitnessVerdict.VERIFIED
+
+    def test_failed_certificate_self_check_raises(self, monkeypatch):
+        monkeypatch.setattr(FeasibilityResult, "check", lambda self: False)
+        with pytest.raises(RuntimeError, match="certificate failed to validate"):
+            solve_feasibility(
+                generate_constraints(6, reduced=True), Bounds.of(lower={4: 0}, upper={6: 1})
+            )
 
     def test_certificate_json(self):
         res = solve_feasibility([FORM_I], Bounds.of(lower={2: "1/2"}, upper={3: 0}))

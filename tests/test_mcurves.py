@@ -223,12 +223,21 @@ class TestFPositivity:
                 v.partition for v in pos.violations
             ]
 
-    def test_threaded_scan_matches_sequential(self):
-        H = pullback_alpha(canonical_class(4))
-        seq = f_positivity(H, "negative", all_witnesses=True)
-        par = f_positivity(H, "negative", all_witnesses=True, threads=4)
-        assert seq == par
-        assert f_positivity(H, "negative", threads=3).witness == seq.witness
+    def test_first_violation_scan_stops_at_witness(self, monkeypatch):
+        yielded = 0
+
+        def counting(m):
+            nonlocal yielded
+            for P in enumerate_four_partitions(m):
+                yielded += 1
+                yield P
+
+        monkeypatch.setattr("fcone.mcurves.enumerate_four_partitions", counting)
+        H = pullback_alpha(canonical_class(9) + k_build(9, combo={4: 1}))
+        decision = f_positivity(H, "negative")
+        assert decision.verdict is Verdict.NOT_POSITIVE
+        position = list(enumerate_four_partitions(10)).index(decision.witness) + 1
+        assert yielded == position
 
     def test_too_few_markings_rejected(self):
         with pytest.raises(ValueError):
