@@ -345,7 +345,7 @@ def cmd_lemmas(args) -> int:
     code = EXIT_OK if not mismatches else EXIT_REFUTED
     run = RunReport(
         "lemmas",
-        {"expectations": path},
+        {"expectations": args.expectations or "packaged"},
         {"rows": rows, "mismatches": mismatches, "details": payload},
         code,
     )

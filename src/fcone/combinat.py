@@ -9,6 +9,7 @@ is immutable and hashable, so values double as divisor keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Literal, Sequence
 
 __all__ = [
@@ -134,21 +135,22 @@ class FourPartition:
         parts = self.parts
         if len(parts) != 4:
             raise ValueError("a partition has exactly 4 blocks")
-        m = parts[0].m
-        if any(p.m != m for p in parts):
+        A, B, C, D = parts
+        m = A.m
+        if not B.m == C.m == D.m == m:
             raise ValueError("blocks live in different ambient sets")
-        if any(p.mask == 0 for p in parts):
+        a, b, c, d = A.mask, B.mask, C.mask, D.mask
+        if not (a and b and c and d):
             raise ValueError("blocks must be nonempty")
-        total = 0
-        for p in parts:
-            if total & p.mask:
-                raise ValueError("blocks must be pairwise disjoint")
-            total |= p.mask
-        if total != (1 << m) - 1:
+        if a & b or (a | b) & c or (a | b | c) & d:
+            raise ValueError("blocks must be pairwise disjoint")
+        if a | b | c | d != (1 << m) - 1:
             raise ValueError("blocks must cover {1,...,m}")
-        object.__setattr__(
-            self, "parts", tuple(sorted(parts, key=lambda p: p.min_label))
-        )
+        # disjoint blocks have distinct lowest bits, which order them by minimum
+        if type(parts) is not tuple or not a & -a < b & -b < c & -c < d & -d:
+            object.__setattr__(
+                self, "parts", tuple(sorted(parts, key=lambda p: p.mask & -p.mask))
+            )
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], m: int) -> "FourPartition":
@@ -216,38 +218,52 @@ def shape_of(P: FourPartition, special: int | None = None) -> PartitionShape:
     return PartitionShape(sizes, sp)
 
 
-def _block_lists(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # restricted-growth assignment: each label joins an existing block, in
-    # creation order, or opens a new one; block minima are then increasing
-    blocks: list[list[int]] = []
-
-    def rec(label: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if label > m:
-            if len(blocks) == 4:
-                yield tuple(tuple(b) for b in blocks)
-            return
-        remaining = m - label
-        for b in blocks:
-            if remaining >= 4 - len(blocks):
-                b.append(label)
-                yield from rec(label + 1)
-                b.pop()
-        if len(blocks) < 4 and remaining >= 3 - len(blocks):
-            blocks.append([label])
-            yield from rec(label + 1)
-            blocks.pop()
-
-    yield from rec(1)
+def _preorder(free: int, mask: int = 0) -> Iterator[int]:
+    """``mask`` joined with each subset of the bits of ``free``, in
+    lexicographic order of the subsets' label tuples, each prefix before its
+    extensions: (), (x1,), (x1, x2), ..., (x2,), ... for x1 < x2 < ..."""
+    yield mask
+    while free:
+        low = free & -free
+        free ^= low
+        yield from _preorder(free, mask | low)
 
 
 def enumerate_four_partitions(m: int) -> Iterator[FourPartition]:
     """All partitions of {1, ..., m} into four nonempty blocks, each exactly
-    once, ordered lexicographically by part minima (ties by label tuples)."""
+    once, ordered lexicographically by part minima (ties by label tuples).
+
+    Streams in O(m) memory: no list of partitions is built. For each minima
+    tuple (1, b, c, d), each block in turn takes the free labels below the
+    next minimum, which no later block may hold, plus a subset of the larger
+    ones in label-tuple order. Blocks are built once per mask and shared
+    between the partitions that contain them (at most 2^m per call).
+    """
     if m < 4:
         raise ValueError(f"no four-block partitions of {m} < 4 labels")
-    found = sorted(_block_lists(m), key=lambda bl: (tuple(b[0] for b in bl), bl))
-    for bl in found:
-        yield FourPartition.from_blocks(bl, m)
+    blocks: dict[int, Subset] = {}
+
+    def block(mask: int) -> Subset:
+        S = blocks.get(mask)
+        if S is None:
+            S = blocks[mask] = Subset(mask, m)
+        return S
+
+    full = (1 << m) - 1
+    for b, c, d in combinations(range(2, m + 1), 3):
+        # label x is bit 1 << (x - 1); below_x masks the labels 1..x-1
+        below_b, below_c, below_d = (1 << b - 1) - 1, (1 << c - 1) - 1, (1 << d - 1) - 1
+        free = full ^ (1 | 1 << b - 1 | 1 << c - 1 | 1 << d - 1)
+        for x in _preorder(free & ~below_b):
+            p1 = free & below_b | x | 1
+            rest = free & ~p1
+            for y in _preorder(rest & ~below_c):
+                p2 = rest & below_c | y | 1 << b - 1
+                rest2 = rest & ~p2
+                P1, P2 = block(p1), block(p2)
+                for z in _preorder(rest2 & ~below_d):
+                    p3 = rest2 & below_d | z | 1 << c - 1
+                    yield FourPartition((P1, P2, block(p3), block(full ^ p1 ^ p2 ^ p3)))
 
 
 def enumerate_shapes(

@@ -462,8 +462,13 @@ def verify_witness(
     decision = chs_ample(H, "anti-ample")
 
     A = pullback_alpha(H)
-    values = [f_curve_value(A, P) for P in enumerate_four_partitions(n + 1)]
-    f_min, f_max = min(values), max(values)
+    values = (f_curve_value(A, P) for P in enumerate_four_partitions(n + 1))
+    f_min = f_max = next(values)
+    for v in values:
+        if v < f_min:
+            f_min = v
+        elif v > f_max:
+            f_max = v
 
     degs = {d for _, d in decision.beta}
     if len(degs) != 1:

@@ -15,7 +15,8 @@ blocks I|J|K|L, and meets H in
 
     c(I+J) + c(I+K) + c(I+L) - c(I) - c(J) - c(K) - c(L),
 
-all lookups going through canonical keys. Strict positivity of these
+all lookups going through canonical keys (the kernel reads them from a
+table over the masks of both sides of every key). Strict positivity of these
 numbers characterises ample classes for m <= 7 (Keel-McKernan); for larger
 m it is necessary but the sufficiency is open, and the verdict says so.
 """
@@ -23,8 +24,10 @@ m it is necessary but the sufficiency is open, and the verdict says so.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 from .combinat import FourPartition, Subset, canonical_key, enumerate_four_partitions
@@ -100,6 +103,21 @@ class MDivisor:
 
     def support(self) -> list[Subset]:
         return sorted(self.coeffs, key=Subset.sort_key)
+
+    @cached_property
+    def _mask_table(self) -> tuple[int, dict[int, int]]:
+        """(den, {mask: numerator}) with coefficient(S) == numerator / den for
+        every mask of a singleton key and of either side of a boundary key;
+        other masks have coefficient 0. Built on first use by the F-kernel."""
+        den = math.lcm(*(q.denominator for q in self.coeffs.values()))
+        full = (1 << self.m) - 1
+        table: dict[int, int] = {}
+        for S, q in self.coeffs.items():
+            num = q.numerator * (den // q.denominator)
+            table[S.mask] = num
+            if S.size >= 2:
+                table[full ^ S.mask] = num
+        return den, table
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -182,13 +200,15 @@ def f_curve_value(H: MDivisor, P: FourPartition) -> Fraction:
     """Intersection of H with the F-curve of partition P (exact rational)."""
     if P.m != H.m:
         raise ValueError(f"partition on {P.m} labels vs divisor on {H.m}")
+    den, table = H._mask_table
+    get = table.get
     I, J, K, L = P.parts
-    total = Fraction(0)
-    for other in (J, K, L):
-        total += H.coefficient(I.union(other))
-    for part in P.parts:
-        total -= H.coefficient(part)
-    return total
+    i, j, k, l = I.mask, J.mask, K.mask, L.mask
+    total = (
+        get(i | j, 0) + get(i | k, 0) + get(i | l, 0)
+        - get(i, 0) - get(j, 0) - get(k, 0) - get(l, 0)
+    )
+    return Fraction(total, den)
 
 
 class Verdict(enum.Enum):

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: exit codes, determinism, round trips."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -186,6 +187,15 @@ class TestLemmasCommand:
         _, first, _ = run(capsys, "lemmas", "--json")
         _, second, _ = run(capsys, "lemmas", "--json")
         assert first == second
+
+    def test_json_inputs_name_the_expectations_not_their_location(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "lemmas", "--json")
+        assert json.loads(out)["inputs"] == {"expectations": "packaged"}
+        given = tmp_path / "expect.json"
+        given.write_text(resources.files("fcone").joinpath("data/lemma_expectations.json").read_text())
+        code, out, _ = run(capsys, "lemmas", "--json", "--expectations", str(given))
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"] == {"expectations": str(given)}
 
     def test_corrupted_expectations_exit_three(self, tmp_path, capsys):
         bad = tmp_path / "expect.json"

@@ -2,6 +2,7 @@
 canonical representatives, orbit shapes, determinism."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,20 @@ def brute_force_partitions(m):
         if all(blocks):
             seen.add(frozenset(blocks))
     return seen
+
+
+def brute_force_in_scan_order(m):
+    """Every assignment of labels 2..m to four blocks (label 1 in the first),
+    deduplicated, then sorted by ``FourPartition.sort_key``."""
+    found = set()
+    for assignment in itertools.product(range(4), repeat=m - 1):
+        masks = [1, 0, 0, 0]
+        for bit, block in enumerate(assignment, 1):
+            masks[block] |= 1 << bit
+        if all(masks):
+            found.add(frozenset(masks))
+    partitions = (FourPartition(tuple(Subset(mask, m) for mask in masks)) for masks in found)
+    return sorted(partitions, key=FourPartition.sort_key)
 
 
 def subsets_of(m, min_size=0, max_size=None):
@@ -108,6 +123,21 @@ class TestFourPartition:
         with pytest.raises(ValueError):
             FourPartition.from_blocks([[1], [2], [3, 4], [4]], 4)
 
+    def test_each_block_check_rejects(self):
+        one, two, three = (Subset.from_labels([x], 4) for x in (1, 2, 3))
+        four = Subset.from_labels([4], 4)
+        with pytest.raises(ValueError, match="ambient"):
+            FourPartition((one, two, three, Subset.from_labels([4], 5)))
+        with pytest.raises(ValueError, match="disjoint"):
+            FourPartition((one, two, Subset.from_labels([2, 3], 4), four))
+        with pytest.raises(ValueError, match="cover"):
+            FourPartition(tuple(Subset.from_labels([x], 5) for x in (1, 2, 3, 4)))
+
+    def test_any_block_sequence_stored_as_sorted_tuple(self):
+        blocks = [Subset.from_labels([x], 4) for x in (1, 2, 3, 4)]
+        P = FourPartition(blocks)
+        assert P.parts == tuple(blocks) and hash(P) == hash(FourPartition(tuple(blocks)))
+
     def test_relabel(self):
         P = FourPartition.parse("{1}|{2}|{3}|{4,5}", 5)
         sigma = [5, 4, 3, 2, 1]
@@ -138,6 +168,20 @@ class TestEnumeration:
         keys = [P.sort_key() for P in parts]
         assert keys == sorted(keys)
         assert str(parts[0]) == "{1}|{2}|{3}|{4,5}"
+
+    @pytest.mark.parametrize("m", range(4, 11))
+    def test_order_equals_sorted_brute_force(self, m):
+        assert list(enumerate_four_partitions(m)) == brute_force_in_scan_order(m)
+
+    def test_streams_without_building_the_whole_list(self):
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(enumerate_four_partitions(12), 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 100 and str(first[0]) == "{1}|{2}|{3}|{4,5,6,7,8,9,10,11,12}"
+        assert peak < 1 << 20
 
     def test_m_below_four_rejected(self):
         with pytest.raises(ValueError):

@@ -169,6 +169,53 @@ class TestFCurveValue:
             assert f_curve_value(H.relabel(sigma), P.relabel(sigma)) == f_curve_value(H, P)
 
 
+def reference_f_value(H, P):
+    """The F-value read through ``MDivisor.coefficient``, term by term."""
+    I = P.parts[0]
+    return sum(H.coefficient(I.union(X)) for X in P.parts[1:]) - sum(
+        H.coefficient(part) for part in P.parts
+    )
+
+
+@st.composite
+def mixed_mdivisors(draw):
+    """Divisors on m = 4..8 with mixed denominators, singleton (psi) keys and
+    separate entries on both sides of some splits."""
+    m = draw(st.integers(4, 8))
+    full = (1 << m) - 1
+    q = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    coeffs = {}
+    for mask, a, b in draw(st.lists(st.tuples(st.integers(1, full - 1), q, q | st.none()), max_size=10)):
+        for key, value in ((mask, a), (full ^ mask, b)):
+            if value is not None:
+                S = Subset(key, m)
+                coeffs[S] = coeffs.get(S, 0) + value
+    for label, value in draw(st.lists(st.tuples(st.integers(1, m), q), max_size=3)):
+        S = Subset.from_labels([label], m)
+        coeffs[S] = coeffs.get(S, 0) + value
+    return MDivisor(m, coeffs)
+
+
+class TestFKernel:
+    @given(mixed_mdivisors())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_sum_on_every_partition(self, H):
+        for P in enumerate_four_partitions(H.m):
+            assert f_curve_value(H, P) == reference_f_value(H, P)
+
+    def test_table_not_shared_between_divisors_of_equal_m(self):
+        H1 = lemma_divisor_m5()
+        H2 = MDivisor(5, {Subset.from_labels([1, 2], 5): Fraction(2, 3), Subset.from_labels([4], 5): Fraction(-1, 5)})
+        partitions = list(enumerate_four_partitions(5))
+        first = [f_curve_value(H1, P) for P in partitions]
+        assert first == [-1] * 10
+        assert [f_curve_value(H2, P) for P in partitions] == [reference_f_value(H2, P) for P in partitions]
+        assert [f_curve_value(H1, P) for P in partitions] == first
+        assert [f_curve_value(H1 + H2, P) for P in partitions] == [
+            reference_f_value(H1 + H2, P) for P in partitions
+        ]
+
+
 class TestFPositivity:
     def test_lemma_divisor_anti_ample(self):
         decision = f_positivity(lemma_divisor_m5(), "negative")
