@@ -275,9 +275,26 @@ def enumerate_shapes(
         raise ValueError(f"no four-block partitions of {m} < 4 labels")
     if special is not None and not 1 <= special <= m:
         raise ValueError(f"special label {special} out of range 1..{m}")
+    # key: the block sizes in block order, then the size of the block holding
+    # the special bit (without one, bit 0 falls through to the last block and
+    # repeats its size); a shape is built once per new key
+    bit = 0 if special is None else 1 << special - 1
+    shapes: dict[tuple[int, ...], PartitionShape] = {}
     reps: dict[PartitionShape, FourPartition] = {}
     for P in enumerate_four_partitions(m):
-        sh = shape_of(P, special)
-        if sh not in reps:
-            reps[sh] = P
+        A, B, C, D = P.parts
+        a, b, c, d = A.mask, B.mask, C.mask, D.mask
+        key = (
+            a.bit_count(),
+            b.bit_count(),
+            c.bit_count(),
+            d.bit_count(),
+            (a if a & bit else b if b & bit else c if c & bit else d).bit_count(),
+        )
+        if key not in shapes:
+            sh = shapes[key] = PartitionShape(
+                tuple(sorted(key[:4])), None if special is None else key[4]
+            )
+            if sh not in reps:
+                reps[sh] = P
     return list(reps.items())

@@ -5,12 +5,14 @@ candidate witnesses.
 
 Anti-ampleness of K_n + sum a_s B[s] is an affine condition per F-curve of
 the (n+1)-pointed space, plus one condition from the line-section degree.
-The solver is Fourier-Motzkin elimination over exact rationals with a
-strict/non-strict flag per inequality; every derived inequality carries
-the multipliers that produced it, so infeasibility comes out as an
+The solver is Fourier-Motzkin elimination with a strict/non-strict flag
+per inequality. Each input form is rescaled once to a primitive integer
+row, and elimination stays on primitive integer rows; every derived
+inequality carries the multipliers that produced it, as integer
+numerators over one denominator per row. So infeasibility comes out as an
 explicit nonnegative combination of the input forms reducing to an absurd
 constant inequality, and feasibility comes out as a rational point. Both
-certificates re-check by plain substitution.
+certificates re-check by plain substitution before they are returned.
 """
 
 from __future__ import annotations
@@ -242,14 +244,16 @@ class FeasibilityResult:
         return out
 
 
-@dataclass
-class _Ineq:
-    # working row: coeffs.x + const (<|<=) 0, plus its provenance over the
-    # effective input forms (hist[k] = multiplier of form k)
-    coeffs: dict[int, Fraction]
-    const: Fraction
+@dataclass(slots=True)
+class _Row:
+    # working row: sum coeffs[s] * a_s + const (<|<=) 0 on a primitive integer
+    # vector, plus its provenance over the effective input forms (form k
+    # enters with multiplier hist[k] / den)
+    coeffs: dict[int, int]
+    const: int
     strict: bool
-    hist: dict[int, Fraction]
+    hist: dict[int, int]
+    den: int
 
 
 def _primitive_scale(values: Iterable[Fraction]) -> Fraction:
@@ -261,34 +265,46 @@ def _primitive_scale(values: Iterable[Fraction]) -> Fraction:
     return Fraction(denom, numer)
 
 
-def _normalized(row: _Ineq) -> _Ineq:
-    scale = _primitive_scale(list(row.coeffs.values()) + [row.const])
-    if scale != 1:
-        row = _Ineq(
-            {s: q * scale for s, q in row.coeffs.items()},
-            row.const * scale,
-            row.strict,
-            {k: x * scale for k, x in row.hist.items()},
-        )
-    return row
+def _input_row(idx: int, form: LinearForm) -> _Row:
+    scale = _primitive_scale([q for _, q in form.coeffs] + [form.constant])
+    coeffs = {s: int(q * scale) for s, q in form.coeffs}
+    return _Row(
+        coeffs,
+        int(form.constant * scale),
+        form.strict,
+        {idx: scale.numerator},
+        scale.denominator,
+    )
 
 
-def _is_contradiction(row: _Ineq) -> bool:
-    return not row.coeffs and (row.const > 0 or (row.const == 0 and row.strict))
+def _combined_hist(p: _Row, q: _Row, a: int, b: int, g: int) -> tuple[dict[int, int], int]:
+    # provenance of (a*p + b*q) / g; an all-zero combination (g == 0) is kept
+    # undivided, as p/b + q/a, which puts a*b into the denominator instead
+    wp, wq = a * q.den, b * p.den
+    hist = {k: wp * h for k, h in p.hist.items()}
+    for k, h in q.hist.items():
+        hist[k] = hist.get(k, 0) + wq * h
+    den = p.den * q.den * (g or a * b)
+    d = gcd(den, *hist.values())
+    if d > 1:
+        hist = {k: h // d for k, h in hist.items()}
+        den //= d
+    return hist, den
 
 
-def _stronger(a: _Ineq, b: _Ineq) -> bool:
+def _is_contradiction(coeffs: Mapping[int, int], const: int, strict: bool) -> bool:
+    return not coeffs and (const > 0 or (const == 0 and strict))
+
+
+def _replaces(held: _Row | None, const: int, strict: bool) -> bool:
     # for identical primitive coefficient vectors, the larger constant wins,
     # a strict relation breaking the tie (e + c < 0 implies e + c' <= 0 for
     # any c' <= c)
-    return a.const > b.const or (a.const == b.const and a.strict and not b.strict)
-
-
-def _push(table: dict[tuple, _Ineq], row: _Ineq) -> None:
-    key = tuple(sorted(row.coeffs.items()))
-    held = table.get(key)
-    if held is None or _stronger(row, held):
-        table[key] = row
+    return (
+        held is None
+        or const > held.const
+        or (const == held.const and strict and not held.strict)
+    )
 
 
 def solve_feasibility(
@@ -296,27 +312,30 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Exact strict-aware feasibility by Fourier-Motzkin elimination.
 
-    Each surviving row keeps the nonnegative multipliers that derived it
-    from the inputs. Rows are rescaled to primitive integer vectors and,
-    among rows with the same coefficient vector, only the strongest is
-    kept; the variable eliminated next is the one producing the fewest
+    Every working row is a primitive integer vector (the input forms are
+    rescaled once): eliminating x from a row p with x-coefficient b > 0
+    and a row q with x-coefficient -a < 0 forms a*p + b*q and divides out
+    the gcd of its entries. Each row keeps the nonnegative multipliers that derived
+    it from the inputs as integer numerators over one per-row denominator.
+    Among rows with the same coefficient vector only the strongest is kept;
+    the variable eliminated next is the one producing the fewest
     combination rows. Back-substitution picks a rational point strictly
-    inside every strict bound.
+    inside every strict bound, and both certificates are re-checked by
+    substitution before they are returned.
     """
     eff = tuple(forms) + (bounds.forms() if bounds is not None else ())
 
-    table: dict[tuple, _Ineq] = {}
+    table: dict[tuple, _Row] = {}
     for idx, f in enumerate(eff):
-        row = _normalized(
-            _Ineq(dict(f.coeffs), f.constant, f.strict, {idx: Fraction(1)})
-        )
-        if _is_contradiction(row):
-            return _infeasible(eff, row.hist)
-        if row.coeffs:
-            _push(table, row)
+        row = _input_row(idx, f)
+        if _is_contradiction(row.coeffs, row.const, row.strict):
+            return _infeasible(eff, row.hist, row.den)
+        key = tuple(sorted(row.coeffs.items()))
+        if row.coeffs and _replaces(table.get(key), row.const, row.strict):
+            table[key] = row
 
     remaining = sorted({s for row in table.values() for s in row.coeffs})
-    stages: list[tuple[int, list[_Ineq], list[_Ineq]]] = []
+    stages: list[tuple[int, list[_Row], list[_Row]]] = []
     while remaining:
         rows = list(table.values())
 
@@ -330,42 +349,45 @@ def solve_feasibility(
         pos = [r for r in rows if r.coeffs.get(x, 0) > 0]
         neg = [r for r in rows if r.coeffs.get(x, 0) < 0]
         stages.append((x, pos, neg))
-        table = {
-            tuple(sorted(r.coeffs.items())): r for r in rows if x not in r.coeffs
-        }
+        table = {key: r for key, r in table.items() if x not in r.coeffs}
         for p in pos:
-            lp = 1 / p.coeffs[x]
+            b = p.coeffs[x]
             for q in neg:
-                lq = -1 / q.coeffs[x]
-                coeffs: dict[int, Fraction] = {}
-                for s, c in p.coeffs.items():
-                    if s != x:
-                        coeffs[s] = lp * c
+                a = -q.coeffs[x]
+                coeffs = {s: a * c for s, c in p.coeffs.items() if s != x}
                 for s, c in q.coeffs.items():
                     if s != x:
-                        coeffs[s] = coeffs.get(s, Fraction(0)) + lq * c
+                        coeffs[s] = coeffs.get(s, 0) + b * c
                 coeffs = {s: c for s, c in coeffs.items() if c}
-                hist = {k: lp * v for k, v in p.hist.items()}
-                for k, v in q.hist.items():
-                    hist[k] = hist.get(k, Fraction(0)) + lq * v
-                row = _normalized(
-                    _Ineq(coeffs, lp * p.const + lq * q.const, p.strict or q.strict, hist)
-                )
-                if _is_contradiction(row):
-                    return _infeasible(eff, row.hist)
-                if row.coeffs:
-                    _push(table, row)
+                const = a * p.const + b * q.const
+                strict = p.strict or q.strict
+                g = gcd(const, *coeffs.values())
+                if g > 1:
+                    coeffs = {s: c // g for s, c in coeffs.items()}
+                    const //= g
+                if _is_contradiction(coeffs, const, strict):
+                    return _infeasible(eff, *_combined_hist(p, q, a, b, g))
+                if not coeffs:
+                    continue
+                key = tuple(sorted(coeffs.items()))
+                if _replaces(table.get(key), const, strict):
+                    table[key] = _Row(coeffs, const, strict, *_combined_hist(p, q, a, b, g))
 
     point: dict[int, Fraction] = {}
     for x, pos, neg in reversed(stages):
         point[x] = _pick_value(x, pos, neg, point)
-    return FeasibilityResult(eff, point=point)
+    result = FeasibilityResult(eff, point=point)
+    if not result.check():
+        raise RuntimeError("solver point failed to validate")
+    return result
 
 
 def _infeasible(
-    eff: tuple[LinearForm, ...], hist: Mapping[int, Fraction]
+    eff: tuple[LinearForm, ...], hist: Mapping[int, int], den: int
 ) -> FeasibilityResult:
-    multipliers = tuple(hist.get(i, Fraction(0)) for i in range(len(eff)))
+    multipliers = tuple(
+        Fraction(hist[i], den) if i in hist else Fraction(0) for i in range(len(eff))
+    )
     result = FeasibilityResult(eff, multipliers=multipliers)
     if not result.check():
         raise RuntimeError("derived infeasibility certificate failed to validate")
@@ -374,21 +396,22 @@ def _infeasible(
 
 def _pick_value(
     x: int,
-    pos: Sequence[_Ineq],
-    neg: Sequence[_Ineq],
+    pos: Sequence[_Row],
+    neg: Sequence[_Row],
     point: Mapping[int, Fraction],
 ) -> Fraction:
-    # rows here mention x and later (already assigned) variables only
+    # rows here mention x and later (already assigned) variables only; rest
+    # is a bare int when no other variable is left, hence Fraction(-rest, c)
     ub: tuple[Fraction, bool] | None = None
     for r in pos:
         rest = r.const + sum(c * point[s] for s, c in r.coeffs.items() if s != x)
-        v = -rest / r.coeffs[x]
+        v = Fraction(-rest, r.coeffs[x])
         if ub is None or v < ub[0] or (v == ub[0] and r.strict):
             ub = (v, r.strict)
     lb: tuple[Fraction, bool] | None = None
     for r in neg:
         rest = r.const + sum(c * point[s] for s, c in r.coeffs.items() if s != x)
-        v = -rest / r.coeffs[x]
+        v = Fraction(-rest, r.coeffs[x])
         if lb is None or v > lb[0] or (v == lb[0] and r.strict):
             lb = (v, r.strict)
     if lb is None and ub is None:

@@ -251,3 +251,15 @@ def test_relabel_preserves_partition_validity(m_sigma):
         Q = P.relabel(sigma)
         assert {lab for p in Q.parts for lab in p.labels} == set(range(1, m + 1))
         assert shape_of(Q).sizes == shape_of(P).sizes
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_enumerate_shapes_matches_shape_of_reference(m):
+    # same shapes, same representatives, same first-occurrence order as
+    # keying every partition by shape_of
+    partitions = list(enumerate_four_partitions(m))
+    for special in (None, 1, m):
+        reference = {}
+        for P in partitions:
+            reference.setdefault(shape_of(P, special), P)
+        assert enumerate_shapes(m, special) == list(reference.items())
