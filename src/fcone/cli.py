@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
@@ -47,22 +46,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
         self.code = code
-
-
-@dataclass
-class RunReport:
-    command: str
-    inputs: dict
-    result: dict
-    exit_status: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "exit": self.exit_status,
-        }
 
 
 def parse_combo_spec(text: str, n: int) -> BoundaryCombo:
@@ -104,12 +87,16 @@ def parse_bounds_spec(text: str) -> Bounds:
         raise CliError(str(exc)) from exc
 
 
-def _emit(report: RunReport, as_json: bool, text: str) -> int:
-    if as_json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+def _emit(args, command: str, inputs: dict, code: int, result, text) -> int:
+    """Print the run report under ``--json``, else the text. ``result`` and
+    ``text`` are callables, so only the printed format is built."""
+    if args.json:
+        report = {"command": command, "inputs": inputs, "result": result(), "exit": code}
+        print(json.dumps(report, indent=2))
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
-    return report.exit_status
+        out = text()
+        print(out, end="" if out.endswith("\n") else "\n")
+    return code
 
 
 def _load_json_file(path: str) -> dict:
@@ -152,14 +139,14 @@ def cmd_verify(args) -> int:
         raise CliError(f"--n must be >= 3, got {args.n}")
     combo = parse_combo_spec(args.combo, args.n)
     report = verify_witness(args.n, combo)
-    code = _witness_exit(report.verdict)
-    run = RunReport(
+    return _emit(
+        args,
         "verify",
         {"n": args.n, "combo": args.combo},
-        report.to_json_dict(),
-        code,
+        _witness_exit(report.verdict),
+        report.to_json_dict,
+        lambda: "\n".join(_witness_lines(report)),
     )
-    return _emit(run, args.json, "\n".join(_witness_lines(report)))
 
 
 def cmd_search(args) -> int:
@@ -168,27 +155,26 @@ def cmd_search(args) -> int:
     bounds = parse_bounds_spec(args.bounds) if args.bounds else None
     outcome = search_witness(args.n, bounds)
     feas = outcome.feasibility
-    if not feas.feasible:
-        code = EXIT_REFUTED
-        nonzero = sum(1 for x in feas.multipliers if x)
-        text_lines = [
-            f"n={args.n} bounds {args.bounds or '(none)'}: INFEASIBLE",
-            f"  certificate: {nonzero} nonzero multipliers over {len(feas.forms)} forms",
-            f"  certificate check: {'ok' if feas.check() else 'FAILED'}",
-        ]
-    else:
-        code = _witness_exit(outcome.report.verdict)
-        point = ",".join(f"a{s}={q}" for s, q in sorted(feas.point.items()))
-        text_lines = [
-            f"n={args.n} bounds {args.bounds or '(none)'}: FEASIBLE at {point}",
-        ] + ["  " + line for line in _witness_lines(outcome.report)]
-    run = RunReport(
-        "search",
-        {"n": args.n, "bounds": args.bounds},
-        outcome.to_json_dict(),
-        code,
+    head = f"n={args.n} bounds {args.bounds or '(none)'}"
+
+    def text() -> str:
+        if not feas.feasible:
+            nonzero = sum(1 for x in feas.multipliers if x)
+            lines = [
+                f"{head}: INFEASIBLE",
+                f"  certificate: {nonzero} nonzero multipliers over {len(feas.forms)} forms",
+                f"  certificate check: {'ok' if feas.check() else 'FAILED'}",
+            ]
+        else:
+            point = ",".join(f"a{s}={q}" for s, q in sorted(feas.point.items()))
+            lines = [f"{head}: FEASIBLE at {point}"]
+            lines += ["  " + line for line in _witness_lines(outcome.report)]
+        return "\n".join(lines)
+
+    code = _witness_exit(outcome.report.verdict) if feas.feasible else EXIT_REFUTED
+    return _emit(
+        args, "search", {"n": args.n, "bounds": args.bounds}, code, outcome.to_json_dict, text
     )
-    return _emit(run, args.json, "\n".join(text_lines))
 
 
 def cmd_fcurves(args) -> int:
@@ -203,20 +189,18 @@ def cmd_fcurves(args) -> int:
         Verdict.NOT_POSITIVE: EXIT_REFUTED,
         Verdict.POSITIVE_BUT_UNDECIDED: EXIT_UNDECIDED,
     }[decision.verdict]
-    lines = [f"m={H.m} sense={args.sense}: {decision.verdict.value}"]
-    if decision.witness is not None:
-        lines.append(
-            f"  first violation: {decision.witness} with value {decision.witness_value}"
-        )
-    for v in decision.violations[1:]:
-        lines.append(f"  also: {v.partition} with value {v.value}")
-    run = RunReport(
-        "fcurves",
-        {"divisor": args.divisor, "sense": args.sense},
-        decision.to_json_dict(),
-        code,
-    )
-    return _emit(run, args.json, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"m={H.m} sense={args.sense}: {decision.verdict.value}"]
+        if decision.witness is not None:
+            lines.append(
+                f"  first violation: {decision.witness} with value {decision.witness_value}"
+            )
+        lines += [f"  also: {v.partition} with value {v.value}" for v in decision.violations[1:]]
+        return "\n".join(lines)
+
+    inputs = {"divisor": args.divisor, "sense": args.sense}
+    return _emit(args, "fcurves", inputs, code, decision.to_json_dict, text)
 
 
 def _divisor_from_args(args) -> KDivisor:
@@ -244,31 +228,25 @@ def cmd_pullback(args) -> int:
         if H.n < 3:
             raise CliError(f"curve-side pullback needs n >= 3, got n={H.n}")
         result = pullback_alpha(H).to_json_dict()
-        text = json.dumps(result, indent=2)
+        text = lambda: json.dumps(result, indent=2)
     else:
         degrees = {str(i): str(pullback_beta(H, i)) for i in range(1, H.n + 1)}
         result = {"degrees": degrees}
-        text = "\n".join(f"beta_{i}: {d}" for i, d in degrees.items())
-    run = RunReport(
-        "pullback",
-        {"direction": args.direction, "divisor": args.divisor, "n": args.n},
-        result,
-        EXIT_OK,
-    )
-    return _emit(run, args.json, text)
+        text = lambda: "\n".join(f"beta_{i}: {d}" for i, d in degrees.items())
+    inputs = {"direction": args.direction, "divisor": args.divisor, "n": args.n}
+    return _emit(args, "pullback", inputs, EXIT_OK, lambda: result, text)
 
 
 def cmd_strata(args) -> int:
     if args.n < 2:
         raise CliError(f"--n must be >= 2, got {args.n}")
     corr = phi_divisor_map(args.n)
-    result = {
-        "n": corr.n,
-        "pairs": [{"delta": str(d), "b": str(b)} for d, b in corr.pairs],
-        "count": len(corr.pairs),
-    }
-    run = RunReport("strata", {"n": args.n}, result, EXIT_OK)
-    return _emit(run, args.json, corr.to_tsv())
+
+    def result() -> dict:
+        pairs = [{"delta": str(d), "b": str(b)} for d, b in corr.pairs]
+        return {"n": corr.n, "pairs": pairs, "count": len(pairs)}
+
+    return _emit(args, "strata", {"n": args.n}, EXIT_OK, result, corr.to_tsv)
 
 
 def _default_expectations() -> str:
@@ -298,7 +276,7 @@ def cmd_lemmas(args) -> int:
         n = spec["n"]
         combo = BoundaryCombo.of(n, {int(s): parse_rational(q) for s, q in spec["combo"].items()})
         report = verify_witness(n, combo)
-        payload[f"witness_{n}"] = report.to_json_dict()
+        payload[f"witness_{n}"] = report
         got = {
             "verdict": report.verdict.value,
             "f_min": str(report.f_min),
@@ -319,7 +297,7 @@ def cmd_lemmas(args) -> int:
         {int(s): parse_rational(q) for s, q in spec6["bounds"].get("upper", {}).items()},
     )
     outcome = search_witness(n6, bounds6)
-    payload["search_6"] = outcome.to_json_dict()
+    payload["search_6"] = outcome
     status = "feasible" if outcome.feasibility.feasible else "infeasible"
     if status != spec6["status"]:
         mismatches.append(f"n={n6}: status expected {spec6['status']}, got {status}")
@@ -342,14 +320,18 @@ def cmd_lemmas(args) -> int:
     if mismatches:
         lines.append("MISMATCHES:")
         lines += [f"  {m}" for m in mismatches]
-    code = EXIT_OK if not mismatches else EXIT_REFUTED
-    run = RunReport(
+    return _emit(
+        args,
         "lemmas",
         {"expectations": args.expectations or "packaged"},
-        {"rows": rows, "mismatches": mismatches, "details": payload},
-        code,
+        EXIT_OK if not mismatches else EXIT_REFUTED,
+        lambda: {
+            "rows": rows,
+            "mismatches": mismatches,
+            "details": {key: value.to_json_dict() for key, value in payload.items()},
+        },
+        lambda: "\n".join(lines),
     )
-    return _emit(run, args.json, "\n".join(lines))
 
 
 class _Parser(argparse.ArgumentParser):

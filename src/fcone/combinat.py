@@ -55,7 +55,12 @@ class Subset:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.m) if self.mask >> i & 1)
+        out, mask = [], self.mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length())
+            mask ^= low
+        return tuple(out)
 
     @property
     def size(self) -> int:
@@ -94,7 +99,11 @@ class Subset:
         return (self.size, self.labels)
 
     def __str__(self) -> str:
-        return ",".join(str(lab) for lab in self.labels)
+        # built once per instance: the scan interns one Subset per block
+        text = self.__dict__.get("_str")
+        if text is None:
+            text = self.__dict__["_str"] = ",".join(map(str, self.labels))
+        return text
 
 
 def canonical_key(

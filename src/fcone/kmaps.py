@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Literal, Mapping
 
 from .combinat import Subset, canonical_key
@@ -40,6 +41,7 @@ __all__ = [
     "BoundaryCombo",
     "ChsVerdict",
     "ChsDecision",
+    "MAX_KEY_LABELS",
     "boundary_keys",
     "k_build",
     "canonical_class",
@@ -50,13 +52,22 @@ __all__ = [
 ]
 
 
+# largest n whose 2^n - n - 1 B-keys are listed (about 1.05M at n = 20)
+MAX_KEY_LABELS = 20
+
+
 def boundary_keys(n: int) -> Iterator[Subset]:
     """All raw B-keys on the n-pointed space: subsets with 2 <= |S| <= n,
-    in deterministic (size, labels) order."""
-    if n < 2:
-        return
-    subsets = [Subset(mask, n) for mask in range(1, 1 << n) if mask.bit_count() >= 2]
-    yield from sorted(subsets, key=Subset.sort_key)
+    in deterministic (size, labels) order. Raises ``ValueError`` on the call
+    when n > ``MAX_KEY_LABELS``."""
+    if n > MAX_KEY_LABELS:
+        raise ValueError(
+            f"n={n} has 2^{n} - {n} - 1 B-keys; at most n={MAX_KEY_LABELS} "
+            f"({2**MAX_KEY_LABELS - MAX_KEY_LABELS - 1} keys) is supported"
+        )
+    bits = [1 << i for i in range(n)]
+    # combinations of distinct bits sum to their union, in label-tuple order
+    return (Subset(sum(c), n) for size in range(2, n + 1) for c in combinations(bits, size))
 
 
 @dataclass(frozen=True)
@@ -252,8 +263,8 @@ def canonical_class(n: int) -> KDivisor:
     """K_n = -2 * sum L_i + sum over s >= 3 of (s-2) B[s]."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    combo = {s: Fraction(s - 2) for s in range(3, n + 1)}
-    return k_build(n, l=Fraction(-2), combo=combo)
+    b = {S: Fraction(S.size - 2) for S in boundary_keys(n) if S.size >= 3}
+    return KDivisor(n, {i: Fraction(-2) for i in range(1, n + 1)}, b)
 
 
 def pullback_alpha(H: KDivisor) -> MDivisor:

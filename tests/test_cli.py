@@ -232,3 +232,48 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "verify", "--n", "4", "--weird")[0] == EXIT_USAGE
+
+    def test_huge_n_refused_before_listing_b_keys(self, capsys):
+        # 2^30 B-keys would not fit in memory; the refusal names the count
+        for n in ("30", "1000000"):
+            for argv in (("strata", "--n", n), ("pullback", "beta", "--n", n, "--K")):
+                code, out, err = run(capsys, *argv)
+                assert code == EXIT_USAGE and out == ""
+                assert f"2^{n} - {n} - 1 B-keys" in err
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("built output that is not printed")
+
+
+class TestOnlyThePrintedFormatIsBuilt:
+    def test_strata_json_builds_no_tsv(self, monkeypatch, capsys):
+        from fcone.strata import DivisorCorrespondence
+
+        monkeypatch.setattr(DivisorCorrespondence, "to_tsv", _raise)
+        code, out, _ = run(capsys, "strata", "--n", "4", "--json")
+        assert code == EXIT_OK and json.loads(out)["result"]["count"] == 11
+
+    def test_fcurves_text_builds_no_json(self, tmp_path, monkeypatch, capsys):
+        from fcone.mcurves import AmpDecision
+
+        monkeypatch.setattr(AmpDecision, "to_json_dict", _raise)
+        path = tmp_path / "divisor.json"
+        path.write_text(json.dumps(pullback_alpha(canonical_class(4)).to_json_dict()))
+        code, out, _ = run(
+            capsys, "fcurves", "--divisor", str(path), "--sense", "negative", "--all-witnesses"
+        )
+        assert code == EXIT_REFUTED and out.count("also:") == 5
+
+    def test_pullback_alpha_json_encodes_once(self, monkeypatch, capsys):
+        calls = []
+        dumps = json.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        code, out, _ = run(capsys, "pullback", "alpha", "--n", "5", "--K", "--json")
+        assert code == EXIT_OK and json.loads(out)["command"] == "pullback"
+        assert len(calls) == 1

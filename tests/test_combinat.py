@@ -74,6 +74,16 @@ class TestSubset:
             S.relabel([1, 1, 2, 3])
 
 
+    @given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+    def test_labels_and_text_from_set_bits(self, m_mask):
+        m, mask = m_mask
+        S = Subset(mask, m)
+        assert S.labels == tuple(i + 1 for i in range(m) if mask >> i & 1)
+        text = str(S)
+        assert str(S) == text == ",".join(map(str, S.labels))
+        assert Subset.parse(text, m) == S
+
+
 class TestCanonicalKey:
     def test_smaller_half_kept(self):
         S = Subset.from_labels([2, 3], 5)

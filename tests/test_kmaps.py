@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fcone.combinat import Subset, enumerate_four_partitions, shape_of
 from fcone.kmaps import (
+    MAX_KEY_LABELS,
     BoundaryCombo,
     ChsVerdict,
     KDivisor,
@@ -264,6 +265,17 @@ class TestBoundaryKeys:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_count(self, n):
         assert len(list(boundary_keys(n))) == 2**n - n - 1
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_print_order_without_a_sort(self, n):
+        brute = [Subset(mask, n) for mask in range(1 << n) if mask.bit_count() >= 2]
+        assert list(boundary_keys(n)) == sorted(brute, key=Subset.sort_key)
+
+    def test_too_many_keys_refused_on_the_call(self):
+        assert next(boundary_keys(MAX_KEY_LABELS)) == Subset.from_labels([1, 2], MAX_KEY_LABELS)
+        n = MAX_KEY_LABELS + 1
+        with pytest.raises(ValueError, match=rf"2\^{n} - {n} - 1 B-keys"):
+            boundary_keys(n)
 
     def test_raw_sides_are_distinct_keys(self):
         keys = list(boundary_keys(4))
