@@ -4,6 +4,7 @@ the verified witnesses on 4 and 5 markings, and the infeasibility
 certificate ruling out symmetric witnesses on 6 markings with a4 >= 0,
 a6 <= 1. Everything is exact; rerunning produces identical bytes."""
 
+import sys
 from fractions import Fraction
 
 from fcone.combinat import enumerate_four_partitions, enumerate_shapes
@@ -41,7 +42,8 @@ def show_obstruction():
         print(f"    {f}")
     bounds = Bounds.of(lower={4: 0}, upper={6: 1})
     res = solve_feasibility(forms, bounds)
-    assert not res.feasible
+    if res.feasible:
+        sys.exit(f"expected an infeasible system, got a feasible point {res.point}")
     print(f"with bounds {bounds}: INFEASIBLE")
     print("multiplier certificate (nonnegative combination -> contradiction):")
     for i, lam in enumerate(res.multipliers):

@@ -212,14 +212,13 @@ def _divisor_from_args(args) -> KDivisor:
             raise CliError(f"bad divisor file: {exc}") from exc
     if args.n is None:
         raise CliError("need --divisor FILE or --n N (with optional --K/--combo)")
-    div = KDivisor.zero(args.n)
-    if args.K:
-        div = div + canonical_class(args.n)
-    if args.combo:
-        div = div + parse_combo_spec(args.combo, args.n).to_divisor()
-    if div.is_zero() and not args.K and not args.combo:
+    if not (args.K or args.combo):
         raise CliError("empty divisor: pass --K and/or --combo")
-    return div
+    K = canonical_class(args.n) if args.K else None
+    if not args.combo:
+        return K
+    combo = parse_combo_spec(args.combo, args.n).to_divisor()
+    return combo if K is None else K + combo
 
 
 def cmd_pullback(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Subset",
@@ -42,8 +42,20 @@ class Subset:
         for lab in labels:
             if not 1 <= lab <= m:
                 raise ValueError(f"label {lab} out of range 1..{m}")
+            if mask >> (lab - 1) & 1:
+                raise ValueError(f"label {lab} repeated")
             mask |= 1 << (lab - 1)
         return cls(mask, m)
+
+    @classmethod
+    def of(cls, key: "Subset | Iterable[int]", m: int) -> "Subset":
+        """``key`` as a subset of {1, ..., m}: a Subset on m labels is kept,
+        any other iterable is read as labels."""
+        if isinstance(key, Subset):
+            if key.m != m:
+                raise ValueError(f"key ambient {key.m} does not match m={m}")
+            return key
+        return cls.from_labels(key, m)
 
     @classmethod
     def parse(cls, text: str, m: int) -> "Subset":
@@ -106,28 +118,18 @@ class Subset:
         return text
 
 
-def canonical_key(
-    S: Subset, mode: Literal["complement-identified", "raw"] = "complement-identified"
-) -> Subset:
+def canonical_key(S: Subset) -> Subset:
     """Canonical divisor-key representative of a subset.
 
-    In complement-identified mode the key stands for an unordered pair
-    {S, S^c}; the representative is the smaller side, ties going to the side
-    containing label 1. Raw mode keeps S itself (the two sides name genuinely
-    different divisors there) and only checks |S| >= 2.
+    The key stands for the unordered pair {S, S^c}; the representative is
+    the smaller side, ties going to the side containing label 1.
     """
-    if mode == "raw":
-        if S.size < 2:
-            raise ValueError(f"raw key needs |S| >= 2, got {S}")
-        return S
-    if mode != "complement-identified":
-        raise ValueError(f"unknown mode {mode!r}")
-    if S.size == 0 or S.size == S.m:
+    size = S.mask.bit_count()
+    if size == 0 or size == S.m:
         raise ValueError("empty or full subset cannot be a divisor key")
-    Sc = S.complement()
-    if S.size != Sc.size:
-        return S if S.size < Sc.size else Sc
-    return S if 1 in S else Sc
+    if 2 * size < S.m or (2 * size == S.m and S.mask & 1):
+        return S
+    return S.complement()
 
 
 @dataclass(frozen=True)

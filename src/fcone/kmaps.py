@@ -30,11 +30,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .combinat import Subset, canonical_key
+from .combinat import Subset
 from .mcurves import AmpDecision, MDivisor, Verdict, f_positivity
-from .rationals import RationalLike, as_rational
+from .rationals import Linear, RationalLike, as_rational, json_coeffs, sum_by_key
 
 __all__ = [
     "KDivisor",
@@ -71,7 +71,7 @@ def boundary_keys(n: int) -> Iterator[Subset]:
 
 
 @dataclass(frozen=True)
-class KDivisor:
+class KDivisor(Linear):
     """Exact divisor class on the n-pointed stable-map space; immutable."""
 
     n: int
@@ -81,29 +81,34 @@ class KDivisor:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        lc: dict[int, Fraction] = {}
-        for i, q in self.l_coeffs.items():
-            if not 1 <= i <= self.n:
-                raise ValueError(f"L-label {i} out of range 1..{self.n}")
-            v = as_rational(q)
-            if v:
-                lc[i] = lc.get(i, Fraction(0)) + v
-        bc: dict[Subset, Fraction] = {}
-        for key, q in self.b_coeffs.items():
-            S = key if isinstance(key, Subset) else Subset.from_labels(key, self.n)
-            if S.m != self.n:
-                raise ValueError(f"B-key ambient {S.m} does not match n={self.n}")
-            if S.size < 2:
-                raise ValueError(f"B-key needs |S| >= 2, got {S!r}")
-            v = as_rational(q)
-            if v:
-                bc[S] = bc.get(S, Fraction(0)) + v
-        object.__setattr__(self, "l_coeffs", {i: v for i, v in lc.items() if v})
-        object.__setattr__(self, "b_coeffs", {S: v for S, v in bc.items() if v})
+        l = sum_by_key((self._l_key(i), as_rational(q)) for i, q in self.l_coeffs.items())
+        b = sum_by_key((self._b_key(S), as_rational(q)) for S, q in self.b_coeffs.items())
+        object.__setattr__(self, "l_coeffs", l)
+        object.__setattr__(self, "b_coeffs", b)
 
-    @classmethod
-    def zero(cls, n: int) -> "KDivisor":
-        return cls(n, {}, {})
+    def _l_key(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise ValueError(f"L-label {i} out of range 1..{self.n}")
+        return i
+
+    def _b_key(self, key: Subset | Iterable[int]) -> Subset:
+        S = Subset.of(key, self.n)
+        if S.size < 2:
+            raise ValueError(f"B-key needs |S| >= 2, got {S!r}")
+        return S
+
+    @staticmethod
+    def _combine(terms: Sequence[tuple[RationalLike, "KDivisor"]]) -> "KDivisor":
+        n = terms[0][1].n
+        for _, div in terms:
+            if div.n != n:
+                raise ValueError(f"mixed n: {n} vs {div.n}")
+        scaled = [(as_rational(c), div) for c, div in terms]
+        return KDivisor(
+            n,
+            sum_by_key((i, c * q) for c, div in scaled if c for i, q in div.l_coeffs.items()),
+            sum_by_key((S, c * q) for c, div in scaled if c for S, q in div.b_coeffs.items()),
+        )
 
     def l_coefficient(self, i: int) -> Fraction:
         if not 1 <= i <= self.n:
@@ -111,40 +116,7 @@ class KDivisor:
         return self.l_coeffs.get(i, Fraction(0))
 
     def b_coefficient(self, key: Subset | Iterable[int]) -> Fraction:
-        S = key if isinstance(key, Subset) else Subset.from_labels(key, self.n)
-        if S.m != self.n:
-            raise ValueError(f"key ambient {S.m} does not match n={self.n}")
-        return self.b_coeffs.get(S, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.l_coeffs and not self.b_coeffs
-
-    def __add__(self, other: "KDivisor") -> "KDivisor":
-        if other.n != self.n:
-            raise ValueError(f"mixed n: {self.n} vs {other.n}")
-        lc = dict(self.l_coeffs)
-        for i, q in other.l_coeffs.items():
-            lc[i] = lc.get(i, Fraction(0)) + q
-        bc = dict(self.b_coeffs)
-        for S, q in other.b_coeffs.items():
-            bc[S] = bc.get(S, Fraction(0)) + q
-        return KDivisor(self.n, lc, bc)
-
-    def __sub__(self, other: "KDivisor") -> "KDivisor":
-        return self + (-1) * other
-
-    def __neg__(self) -> "KDivisor":
-        return (-1) * self
-
-    def __rmul__(self, scalar: RationalLike) -> "KDivisor":
-        c = as_rational(scalar)
-        return KDivisor(
-            self.n,
-            {i: c * q for i, q in self.l_coeffs.items()},
-            {S: c * q for S, q in self.b_coeffs.items()},
-        )
-
-    __mul__ = __rmul__
+        return self.b_coeffs.get(Subset.of(key, self.n), Fraction(0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,24 +131,25 @@ class KDivisor:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "KDivisor":
         """Accepts the explicit {"n","L","B"} form and the combo shorthand
-        {"n", "K": bool, "a": {...}} meaning K_n + sum a_s B[s]."""
+        {"n", "K": bool, "a": {...}} meaning K_n + sum a_s B[s], never both.
+        Entries naming the same coefficient add up."""
         n = data.get("n")
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise ValueError("KDivisor JSON needs an integer 'n'")
         if "a" in data or "K" in data:
-            combo = BoundaryCombo.of(
-                n, {int(s): as_rational(q) for s, q in dict(data.get("a", {})).items()}
-            )
+            if "L" in data or "B" in data:
+                raise ValueError("KDivisor JSON mixes the L/B form with the K/a shorthand")
+            K = data.get("K", False)
+            if type(K) is not bool:
+                raise ValueError(f"KDivisor JSON 'K' must be true or false, got {K!r}")
+            combo = BoundaryCombo(n, tuple((int(s), q) for s, q in json_coeffs(data, "a")))
             div = combo.to_divisor()
-            if data.get("K", False):
-                div = canonical_class(n) + div
-            return div
-        l = {int(i): as_rational(q) for i, q in dict(data.get("L", {})).items()}
-        b = {
-            Subset.parse(key, n): as_rational(q)
-            for key, q in dict(data.get("B", {})).items()
-        }
-        return cls(n, l, b)
+            return canonical_class(n) + div if K else div
+        return cls(
+            n,
+            sum_by_key((int(i), q) for i, q in json_coeffs(data, "L")),
+            sum_by_key((Subset.parse(key, n), q) for key, q in json_coeffs(data, "B")),
+        )
 
 
 @dataclass(frozen=True)
@@ -190,35 +163,24 @@ class BoundaryCombo:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        clean: dict[int, Fraction] = {}
-        for s, q in self.a:
-            if not 2 <= s <= self.n:
-                raise ValueError(f"B[{s}] does not exist on n={self.n}")
-            v = as_rational(q)
-            if v:
-                clean[s] = clean.get(s, Fraction(0)) + v
-        object.__setattr__(
-            self, "a", tuple(sorted((s, v) for s, v in clean.items() if v))
-        )
+        a = sum_by_key((self._size(s), as_rational(q)) for s, q in self.a)
+        object.__setattr__(self, "a", tuple(sorted(a.items())))
+
+    def _size(self, s: int) -> int:
+        if not 2 <= s <= self.n:
+            raise ValueError(f"B[{s}] does not exist on n={self.n}")
+        return s
 
     @classmethod
     def of(cls, n: int, coefficients: Mapping[int, RationalLike]) -> "BoundaryCombo":
         return cls(n, tuple((s, as_rational(q)) for s, q in coefficients.items()))
 
-    @property
-    def coefficients(self) -> dict[int, Fraction]:
-        return dict(self.a)
-
     def get(self, s: int) -> Fraction:
         return dict(self.a).get(s, Fraction(0))
 
     def to_divisor(self) -> KDivisor:
-        b: dict[Subset, Fraction] = {}
         coeff = dict(self.a)
-        for S in boundary_keys(self.n):
-            q = coeff.get(S.size)
-            if q:
-                b[S] = q
+        b = {S: coeff[S.size] for S in boundary_keys(self.n) if S.size in coeff}
         return KDivisor(self.n, {}, b)
 
     def __str__(self) -> str:
@@ -276,16 +238,9 @@ def pullback_alpha(H: KDivisor) -> MDivisor:
     n = H.n
     if n < 3:
         raise ValueError(f"curve-side pullback needs n >= 3, got {n}")
-    m = n + 1
-    full = (1 << n) - 1
-    coeffs: dict[Subset, Fraction] = {}
-    for S, q in H.b_coeffs.items():
-        if S.mask == full:
-            key = Subset.from_labels([m], m)
-        else:
-            key = canonical_key(Subset(S.mask, m))
-        coeffs[key] = coeffs.get(key, Fraction(0)) + q
-    return MDivisor(m, coeffs)
+    # distinct B-keys avoid label n+1, so they name distinct splits; the
+    # constructor's canonical key of the full set {1..n} is {n+1}
+    return MDivisor(n + 1, {Subset(S.mask, n + 1): q for S, q in H.b_coeffs.items()})
 
 
 def pullback_beta(H: KDivisor, i: int) -> Fraction:

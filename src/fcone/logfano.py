@@ -29,7 +29,6 @@ from .kmaps import (
     ChsVerdict,
     canonical_class,
     chs_ample,
-    k_build,
     pullback_alpha,
     pullback_beta,
 )
@@ -171,8 +170,10 @@ def generate_constraints(n: int, reduced: bool = False) -> list[LinearForm]:
     if n < 3:
         raise ValueError(f"constraint generation needs n >= 3, got {n}")
     m = n + 1
-    base = pullback_alpha(canonical_class(n))
-    unit = {s: pullback_alpha(k_build(n, combo={s: 1})) for s in range(2, n + 1)}
+    K = canonical_class(n)
+    units = {s: BoundaryCombo.of(n, {s: 1}).to_divisor() for s in range(2, n + 1)}
+    base = pullback_alpha(K)
+    unit = {s: pullback_alpha(D) for s, D in units.items()}
 
     def form_at(P) -> LinearForm:
         const = f_curve_value(base, P)
@@ -183,9 +184,8 @@ def generate_constraints(n: int, reduced: bool = False) -> list[LinearForm]:
         forms = [form_at(rep) for _, rep in enumerate_shapes(m, special=m)]
     else:
         forms = [form_at(P) for P in enumerate_four_partitions(m)]
-    beta_const = pullback_beta(canonical_class(n), 1)
-    beta_coeffs = {s: pullback_beta(k_build(n, combo={s: 1}), 1) for s in range(2, n + 1)}
-    forms.append(LinearForm.of(beta_const, beta_coeffs, strict=True))
+    beta_coeffs = {s: pullback_beta(D, 1) for s, D in units.items()}
+    forms.append(LinearForm.of(pullback_beta(K, 1), beta_coeffs, strict=True))
     return forms
 
 

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 from .combinat import FourPartition, Subset, canonical_key, enumerate_four_partitions
-from .rationals import RationalLike, as_rational
+from .rationals import Linear, RationalLike, as_rational, json_coeffs, sum_by_key
 
 __all__ = [
     "FULTON_MAX_MARKINGS",
@@ -50,16 +50,8 @@ FULTON_MAX_MARKINGS = 7
 KeyLike = Subset | Iterable[int]
 
 
-def _as_key(key: KeyLike, m: int) -> Subset:
-    if isinstance(key, Subset):
-        if key.m != m:
-            raise ValueError(f"key ambient {key.m} does not match divisor m={m}")
-        return key
-    return Subset.from_labels(key, m)
-
-
 @dataclass(frozen=True)
-class MDivisor:
+class MDivisor(Linear):
     """Exact divisor class on the m-pointed space; treat as immutable."""
 
     m: int
@@ -68,20 +60,23 @@ class MDivisor:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        clean: dict[Subset, Fraction] = {}
-        for key, value in self.coeffs.items():
-            S = _as_key(key, self.m)
-            if S.size == 0 or S.size == S.m:
-                raise ValueError(f"empty or full key {S!r} is not a divisor class")
-            if S.size >= 2 and self.m < 4:
-                raise ValueError(f"boundary key {S} needs m >= 4")
-            S = canonical_key(S)
-            q = as_rational(value)
-            if q:
-                clean[S] = clean.get(S, Fraction(0)) + q
         object.__setattr__(
-            self, "coeffs", {k: v for k, v in clean.items() if v != 0}
+            self,
+            "coeffs",
+            sum_by_key((self._key(k), as_rational(q)) for k, q in self.coeffs.items()),
         )
+
+    def _key(self, key: KeyLike) -> Subset:
+        S = Subset.of(key, self.m)
+        if S.size == 0 or S.size == S.m:
+            raise ValueError(f"empty or full key {S!r} is not a divisor class")
+        if S.size >= 2 and self.m < 4:
+            raise ValueError(f"boundary key {S} needs m >= 4")
+        return canonical_key(S)
+
+    @staticmethod
+    def _combine(terms: Sequence[tuple[RationalLike, "MDivisor"]]) -> "MDivisor":
+        return m_linear_combine(terms)
 
     @classmethod
     def zero(cls, m: int) -> "MDivisor":
@@ -98,7 +93,7 @@ class MDivisor:
         return cls(m, {Subset.from_labels([i], m): Fraction(-1)})
 
     def coefficient(self, key: KeyLike) -> Fraction:
-        S = canonical_key(_as_key(key, self.m))
+        S = canonical_key(Subset.of(key, self.m))
         return self.coeffs.get(S, Fraction(0))
 
     def support(self) -> list[Subset]:
@@ -125,20 +120,6 @@ class MDivisor:
     def relabel(self, sigma: Sequence[int]) -> "MDivisor":
         return MDivisor(self.m, {S.relabel(sigma): q for S, q in self.coeffs.items()})
 
-    def __add__(self, other: "MDivisor") -> "MDivisor":
-        return m_linear_combine([(1, self), (1, other)])
-
-    def __sub__(self, other: "MDivisor") -> "MDivisor":
-        return m_linear_combine([(1, self), (-1, other)])
-
-    def __neg__(self) -> "MDivisor":
-        return m_linear_combine([(-1, self)])
-
-    def __rmul__(self, scalar: RationalLike) -> "MDivisor":
-        return m_linear_combine([(scalar, self)])
-
-    __mul__ = __rmul__
-
     def to_json_dict(self) -> dict:
         """Wire format: {"m":…, "psi":{"i": q}, "delta":{"a,b,c": q}}.
 
@@ -156,17 +137,14 @@ class MDivisor:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MDivisor":
+        """Entries naming the same divisor (both sides of a split, or one
+        subset spelled twice) add up."""
         m = data.get("m")
-        if not isinstance(m, int):
+        if type(m) is not int:
             raise ValueError("MDivisor JSON needs an integer 'm'")
-        coeffs: dict[Subset, Fraction] = {}
-        for lab, q in dict(data.get("psi", {})).items():
-            S = Subset.from_labels([int(lab)], m)
-            coeffs[S] = coeffs.get(S, Fraction(0)) + as_rational(q)
-        for key, q in dict(data.get("delta", {})).items():
-            S = canonical_key(Subset.parse(key, m))
-            coeffs[S] = coeffs.get(S, Fraction(0)) + as_rational(q)
-        return cls(m, coeffs)
+        pairs = [(Subset.from_labels([int(i)], m), q) for i, q in json_coeffs(data, "psi")]
+        pairs += [(Subset.parse(key, m), q) for key, q in json_coeffs(data, "delta")]
+        return cls(m, sum_by_key(pairs))
 
 
 def m_linear_combine(
@@ -176,16 +154,13 @@ def m_linear_combine(
     if not terms:
         raise ValueError("need at least one term")
     m = terms[0][1].m
-    acc: dict[Subset, Fraction] = {}
-    for scalar, div in terms:
+    for _, div in terms:
         if div.m != m:
             raise ValueError(f"mixed ambient sizes {m} and {div.m}")
-        c = as_rational(scalar)
-        if not c:
-            continue
-        for S, q in div.coeffs.items():
-            acc[S] = acc.get(S, Fraction(0)) + c * q
-    return MDivisor(m, acc)
+    scaled = [(as_rational(c), div) for c, div in terms]
+    return MDivisor(
+        m, sum_by_key((S, c * q) for c, div in scaled if c for S, q in div.coeffs.items())
+    )
 
 
 @dataclass(frozen=True)
@@ -232,10 +207,6 @@ class AmpDecision:
     witness: FourPartition | None = None
     witness_value: Fraction | None = None
     violations: tuple[FValue, ...] = ()
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict is Verdict.POSITIVE
 
     def to_json_dict(self) -> dict:
         out: dict = {

@@ -1,12 +1,19 @@
-"""Exact rational parsing. All numbers travel as "p/q" strings."""
+"""Exact rationals and the sparse coefficient maps built from them.
+
+All numbers travel as "p/q" strings. Divisor classes store their
+coefficients as ``{key: Fraction}`` dicts without zero entries; the
+per-key sum and the linear-combination operators below are shared by
+every such class.
+"""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Hashable, Iterable, Mapping, TypeVar, Union
 
 RationalLike = Union[Fraction, int, str]
+Key = TypeVar("Key", bound=Hashable)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -30,3 +37,41 @@ def as_rational(value: RationalLike) -> Fraction:
         return parse_rational(value)
     # floats carry rounding error, so they are banned outright
     raise TypeError(f"not an exact rational: {value!r} ({type(value).__name__})")
+
+
+def json_coeffs(data: Mapping, field: str) -> list[tuple[str, Fraction]]:
+    """The (key, rational) entries of the JSON object ``data[field]``, none
+    when the field is absent."""
+    value = data.get(field, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{field!r} must be a JSON object")
+    return [(key, as_rational(q)) for key, q in value.items()]
+
+
+def sum_by_key(pairs: Iterable[tuple[Key, Fraction]]) -> dict[Key, Fraction]:
+    """Exact per-key sum of (key, value) pairs, zero sums dropped. Values are
+    added only where keys repeat, so distinct keys cost one dict insert."""
+    out: dict[Key, Fraction] = {}
+    for key, q in pairs:
+        out[key] = out[key] + q if key in out else q
+    return {key: q for key, q in out.items() if q}
+
+
+class Linear:
+    """``+``, ``-``, negation and scalar ``*`` of a divisor class, written once
+    over its ``_combine(terms)``: the exact coefficient-wise sum of
+    ``scalar * divisor`` over (scalar, divisor) terms."""
+
+    def __add__(self, other):
+        return self._combine([(1, self), (1, other)])
+
+    def __sub__(self, other):
+        return self._combine([(1, self), (-1, other)])
+
+    def __neg__(self):
+        return self._combine([(-1, self)])
+
+    def __rmul__(self, scalar: RationalLike):
+        return self._combine([(scalar, self)])
+
+    __mul__ = __rmul__

@@ -1,9 +1,12 @@
 """End-to-end command-line behaviour: exit codes, determinism, round trips."""
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcone.cli import (
     EXIT_OK,
@@ -157,6 +160,141 @@ class TestPullbackCommand:
     def test_empty_divisor_usage_error(self, capsys):
         code, _, _ = run(capsys, "pullback", "alpha", "--n", "4")
         assert code == EXIT_USAGE
+
+
+class TestDivisorFileBoundary:
+    """Malformed divisor files exit 3 instead of being read some other way."""
+
+    def _run(self, tmp_path, capsys, data, *argv):
+        path = tmp_path / "divisor.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, "--divisor", str(path))
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            ({"n": True, "L": {"1": "1"}}, ("pullback", "beta")),
+            ({"m": True, "psi": {"1": "1"}}, ("fcurves",)),
+        ],
+        ids=["n", "m"],
+    )
+    def test_boolean_ambient_size(self, tmp_path, capsys, data, argv):
+        code, out, err = self._run(tmp_path, capsys, data, *argv)
+        assert code == EXIT_USAGE and out == "" and "integer" in err
+
+    def test_non_boolean_k(self, tmp_path, capsys):
+        data = {"n": 4, "K": "no", "a": {"4": "1"}}
+        code, out, err = self._run(tmp_path, capsys, data, "pullback", "beta")
+        assert code == EXIT_USAGE and out == "" and "'K'" in err
+
+    def test_mixed_explicit_and_shorthand_forms(self, tmp_path, capsys):
+        data = {"n": 4, "K": True, "L": {"1": "1"}, "B": {"1,2": "1"}}
+        code, out, err = self._run(tmp_path, capsys, data, "pullback", "beta")
+        assert code == EXIT_USAGE and out == "" and "mixes" in err
+
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            ({"n": 4, "B": {"1,1,2": "1"}}, ("pullback", "beta")),
+            ({"m": 5, "delta": {"1,1,2": "1"}}, ("fcurves",)),
+        ],
+        ids=["B", "delta"],
+    )
+    def test_repeated_label_in_key(self, tmp_path, capsys, data, argv):
+        code, out, err = self._run(tmp_path, capsys, data, *argv)
+        assert code == EXIT_USAGE and out == "" and "repeated" in err
+
+
+# JSON values for the divisor-file fuzz. Integers stay small: a bare integer
+# can only become an ambient size through ``divisor_files``, which keeps
+# m <= 8 and n <= 7 so that every scan stays small.
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(-3, 3), st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def weighted(strategies):
+    # one_of collapses repeated strategies; sampling from the list keeps
+    # the repeats as weights
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+rational_texts = weighted(
+    [st.sampled_from(["1", "-2", "1/3", "-3/4", "0", "5/2"])] * 4
+    + [st.sampled_from(["1/0", "0.5", "1e3", "x", ""])]
+)
+labels = weighted([st.integers(1, 5)] * 3 + [st.integers(-1, 9)])
+label_keys = st.lists(labels, max_size=4).map(lambda ls: ",".join(map(str, ls)))
+
+
+def coeff_maps(keys):
+    return weighted(
+        [st.dictionaries(keys, rational_texts, max_size=5)] * 3
+        + [
+            st.dictionaries(keys | st.text(max_size=4), rational_texts | json_scalars, max_size=5),
+            st.lists(st.tuples(json_scalars, rational_texts), max_size=3),  # pairs, not an object
+            json_values,
+        ]
+    )
+
+
+def divisor_files(size_field, size_max, fields):
+    """Mostly files with a small integer ambient size and any of ``fields``;
+    the rest hold arbitrary entries under the same names."""
+    size = st.integers(-1, size_max)
+    shaped = st.fixed_dictionaries({size_field: size}, optional=fields)
+    names = st.sampled_from([size_field, *fields])
+    arbitrary = st.dictionaries(names, json_values, max_size=4).filter(
+        lambda d: type(d.get(size_field)) is not int
+    )
+    return weighted([shaped] * 3 + [arbitrary])
+
+
+label_maps = coeff_maps(labels.map(str))
+subset_maps = coeff_maps(label_keys)
+K_flags = st.booleans() | json_scalars
+m_files = divisor_files("m", 8, {"psi": label_maps, "delta": subset_maps})
+k_files = st.one_of(
+    divisor_files("n", 7, {"L": label_maps, "B": subset_maps}),
+    divisor_files("n", 7, {"K": K_flags, "a": label_maps}),
+    divisor_files("n", 7, {"L": label_maps, "B": subset_maps, "K": K_flags, "a": label_maps}),
+)
+
+
+class TestDivisorFileFuzz:
+    """Every divisor file ends in an exit code 0..3, never a traceback."""
+
+    @staticmethod
+    def _run(path, data, *argv):
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--divisor", str(path)])
+        assert code in (EXIT_OK, EXIT_REFUTED, EXIT_UNDECIDED, EXIT_USAGE), code
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_USAGE:
+            assert out.getvalue() == "" and err.getvalue().startswith("fcone: error:")
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "divisor.json"
+
+    @given(data=m_files, sense=st.sampled_from(["positive", "negative"]))
+    @settings(max_examples=150, deadline=None)
+    def test_fcurves(self, path, data, sense):
+        self._run(path, data, "fcurves", "--sense", sense)
+
+    @given(data=k_files, direction=st.sampled_from(["alpha", "beta"]))
+    @settings(max_examples=150, deadline=None)
+    def test_pullback(self, path, data, direction):
+        self._run(path, data, "pullback", direction)
 
 
 class TestStrataCommand:

@@ -98,12 +98,6 @@ class TestCanonicalKey:
         assert canonical_key(S) == S
         assert canonical_key(S.complement()) == S
 
-    def test_raw_mode_identity(self):
-        S = Subset.from_labels([2, 3, 4, 5], 5)
-        assert canonical_key(S, "raw") == S
-        with pytest.raises(ValueError):
-            canonical_key(Subset.from_labels([2], 5), "raw")
-
     @pytest.mark.parametrize("labels", [[], [1, 2, 3, 4, 5]])
     def test_empty_and_full_rejected(self, labels):
         with pytest.raises(ValueError):

@@ -1,15 +1,22 @@
-"""Source-level checks on the package itself."""
+"""Source-level checks on the package and its scripts, and a smoke run of
+each script."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "fcone"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "fcone"
+SCRIPTS_DIR = ROOT / "scripts"
 
 
-def test_no_assert_statements():
-    # correctness self-checks must survive ``python -O``, which strips asserts
-    paths = sorted(PACKAGE_DIR.glob("*.py"))
-    assert paths, f"no package sources under {PACKAGE_DIR}"
+def _assert_statements(where: Path) -> list[str]:
+    paths = sorted(where.glob("*.py"))
+    assert paths, f"no sources under {where}"
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -18,4 +25,34 @@ def test_no_assert_statements():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    return found
+
+
+def test_no_assert_statements():
+    # correctness self-checks must survive ``python -O``, which strips asserts
+    found = _assert_statements(PACKAGE_DIR)
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_no_assert_statements_in_scripts():
+    found = _assert_statements(SCRIPTS_DIR)
+    assert not found, f"assert statements in the scripts: {found}"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["reproduce_lemmas.py"], "with bounds a4>=0,a6<=1: INFEASIBLE"),
+        (["boundary_search.py", "--max-n", "7"], "n=6: INFEASIBLE"),
+    ],
+    ids=["reproduce_lemmas", "boundary_search"],
+)
+def test_script_runs(argv, line):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS_DIR / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert any(out.startswith(line) for out in proc.stdout.splitlines()), proc.stdout
