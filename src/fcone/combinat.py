@@ -281,7 +281,13 @@ def enumerate_shapes(
     m: int, special: int | None = None
 ) -> list[tuple[PartitionShape, FourPartition]]:
     """Distinct shapes with one representative each, in order of first
-    occurrence along ``enumerate_four_partitions``."""
+    occurrence along ``enumerate_four_partitions``.
+
+    This walks all S(m, 4) partitions on purpose. The constraint generator
+    writes the same shape order in closed form, and its tests compare it
+    with this walk, which defines the order by first occurrence; the walk
+    also hands out each representative as an actual partition of the scan.
+    """
     if m < 4:
         raise ValueError(f"no four-block partitions of {m} < 4 labels")
     if special is not None and not 1 <= special <= m:

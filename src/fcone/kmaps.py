@@ -56,15 +56,19 @@ __all__ = [
 MAX_KEY_LABELS = 20
 
 
-def boundary_keys(n: int) -> Iterator[Subset]:
-    """All raw B-keys on the n-pointed space: subsets with 2 <= |S| <= n,
-    in deterministic (size, labels) order. Raises ``ValueError`` on the call
-    when n > ``MAX_KEY_LABELS``."""
+def _check_key_labels(n: int) -> None:
     if n > MAX_KEY_LABELS:
         raise ValueError(
             f"n={n} has 2^{n} - {n} - 1 B-keys; at most n={MAX_KEY_LABELS} "
             f"({2**MAX_KEY_LABELS - MAX_KEY_LABELS - 1} keys) is supported"
         )
+
+
+def boundary_keys(n: int) -> Iterator[Subset]:
+    """All raw B-keys on the n-pointed space: subsets with 2 <= |S| <= n,
+    in deterministic (size, labels) order. Raises ``ValueError`` on the call
+    when n > ``MAX_KEY_LABELS``."""
+    _check_key_labels(n)
     bits = [1 << i for i in range(n)]
     # combinations of distinct bits sum to their union, in label-tuple order
     return (Subset(sum(c), n) for size in range(2, n + 1) for c in combinations(bits, size))
@@ -81,6 +85,7 @@ class KDivisor(Linear):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_key_labels(self.n)
         l = sum_by_key((self._l_key(i), as_rational(q)) for i, q in self.l_coeffs.items())
         b = sum_by_key((self._b_key(S), as_rational(q)) for S, q in self.b_coeffs.items())
         object.__setattr__(self, "l_coeffs", l)
@@ -131,11 +136,14 @@ class KDivisor(Linear):
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "KDivisor":
         """Accepts the explicit {"n","L","B"} form and the combo shorthand
-        {"n", "K": bool, "a": {...}} meaning K_n + sum a_s B[s], never both.
-        Entries naming the same coefficient add up."""
+        {"n", "K": bool, "a": {...}} meaning K_n + sum a_s B[s], never both,
+        and no other field. Entries naming the same coefficient add up."""
         n = data.get("n")
         if type(n) is not int:
             raise ValueError("KDivisor JSON needs an integer 'n'")
+        unknown = sorted(map(str, set(data) - {"n", "L", "B", "K", "a"}))
+        if unknown:
+            raise ValueError(f"KDivisor JSON has unknown fields {unknown}")
         if "a" in data or "K" in data:
             if "L" in data or "B" in data:
                 raise ValueError("KDivisor JSON mixes the L/B form with the K/a shorthand")

@@ -5,6 +5,13 @@ candidate witnesses.
 
 Anti-ampleness of K_n + sum a_s B[s] is an affine condition per F-curve of
 the (n+1)-pointed space, plus one condition from the line-section degree.
+Both are written in closed form, and no divisor is built. Pulled back to
+the (n+1)-pointed space, the class has coefficient k(t) + a_t on a split
+whose side without label n+1 has t >= 2 labels, k(t) = max(t - 2, 0) being
+the coefficient of K_n on B[t], and 0 when t = 1; so an F-form depends only
+on the block sizes and on which block holds label n+1. The derivation
+through the pullbacks themselves is kept in the test suite as the reference.
+
 The solver is Fourier-Motzkin elimination with a strict/non-strict flag
 per inequality. Each input form is rescaled once to a primitive integer
 row, and elimination stays on primitive integer rows; every derived
@@ -21,16 +28,16 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .combinat import enumerate_four_partitions, enumerate_shapes
+from .combinat import enumerate_four_partitions
 from .kmaps import (
     BoundaryCombo,
     ChsVerdict,
+    _check_key_labels,
     canonical_class,
     chs_ample,
     pullback_alpha,
-    pullback_beta,
 )
 from .mcurves import Verdict, f_curve_value
 from .rationals import RationalLike, as_rational
@@ -157,35 +164,65 @@ class Bounds:
         return ",".join(items)
 
 
+def _f_form(m: int, sizes: Sequence[int], special: int) -> LinearForm:
+    # F-value c(I+J) + c(I+K) + c(I+L) - c(I) - c(J) - c(K) - c(L) of a
+    # partition with these block sizes, block ``special`` holding label m,
+    # where c is k(t) + a_t or 0 as in the module docstring
+    const, coeffs = 0, {}
+    terms = [(sizes[0] + size, special in (0, j), 1) for j, size in enumerate(sizes) if j]
+    terms += [(size, special == j, -1) for j, size in enumerate(sizes)]
+    for size, holds_m, sign in terms:
+        t = m - size if holds_m else size
+        if t >= 2:
+            const += sign * max(t - 2, 0)
+            coeffs[t] = coeffs.get(t, 0) + sign
+    return LinearForm.of(const, coeffs)
+
+
+def _shape_sizes(m: int) -> Iterator[tuple[int, int, int, int]]:
+    """Block sizes of one partition per orbit shape, label m in the last
+    block, in the order the shapes first occur along
+    ``enumerate_four_partitions(m)``.
+
+    A shape with label m in a block of two or more first occurs among the
+    minima (1, 2, 3, 4), one with m alone among (1, 2, 3, m). Within either
+    group the first partition fills the blocks in order with the smallest
+    free labels, so it gives the three blocks without m their sizes in
+    ascending order, and shapes follow those sizes lexicographically.
+    """
+    for s1 in range(1, m):
+        for s2 in range(s1, m):
+            for s3 in range(s2, m - 1 - s1 - s2):
+                yield s1, s2, s3, m - s1 - s2 - s3
+    for s1 in range(1, m):
+        for s2 in range(s1, m):
+            if m - 1 - s1 - s2 >= s2:
+                yield s1, s2, m - 1 - s1 - s2, 1
+
+
 def generate_constraints(n: int, reduced: bool = False) -> list[LinearForm]:
     """The strict system expressing anti-ampleness of K_n + sum a_s B[s].
 
-    One form per F-curve of the (n+1)-pointed space (or per orbit shape
-    under permutations fixing the extra label, when ``reduced``), plus the
-    line-section degree form. Constants and coefficients are obtained by
-    evaluating the intersection form on the pullbacks of K_n and of each
-    unit combination B[s], so the symbolic system is, by linearity, exactly
-    the numeric test it abbreviates.
+    One form per F-curve of the (n+1)-pointed space, in the order of
+    ``enumerate_four_partitions``, or with ``reduced`` one per orbit shape
+    under permutations fixing label n+1, in the order the shapes first occur
+    there; then the line-section degree form -2 - k(n) - k(n-1) - a_n -
+    a_{n-1}, which is 3 - 2n - a_n - a_{n-1}. Each form comes in closed form
+    from block sizes (see the module docstring), so the reduced system takes
+    O(n^3) work and lists no partition and no B-key.
     """
     if n < 3:
         raise ValueError(f"constraint generation needs n >= 3, got {n}")
     m = n + 1
-    K = canonical_class(n)
-    units = {s: BoundaryCombo.of(n, {s: 1}).to_divisor() for s in range(2, n + 1)}
-    base = pullback_alpha(K)
-    unit = {s: pullback_alpha(D) for s, D in units.items()}
-
-    def form_at(P) -> LinearForm:
-        const = f_curve_value(base, P)
-        coeffs = {s: f_curve_value(unit[s], P) for s in range(2, n + 1)}
-        return LinearForm.of(const, coeffs, strict=True)
-
     if reduced:
-        forms = [form_at(rep) for _, rep in enumerate_shapes(m, special=m)]
+        forms = [_f_form(m, sizes, 3) for sizes in _shape_sizes(m)]
     else:
-        forms = [form_at(P) for P in enumerate_four_partitions(m)]
-    beta_coeffs = {s: pullback_beta(D, 1) for s, D in units.items()}
-    forms.append(LinearForm.of(pullback_beta(K, 1), beta_coeffs, strict=True))
+        forms = []
+        for P in enumerate_four_partitions(m):
+            special = next(j for j, p in enumerate(P.parts) if m in p)
+            forms.append(_f_form(m, [p.size for p in P.parts], special))
+    # -2 - k(n) - k(n-1) = 3 - 2n for every n >= 3
+    forms.append(LinearForm.of(3 - 2 * n, {n: -1, n - 1: -1}))
     return forms
 
 
@@ -552,8 +589,10 @@ def search_witness(n: int, bounds: Bounds | None = None) -> SearchOutcome:
     point may leave the [0, 1] coefficient range; the report then says
     REFUTED for the range reason while the feasibility certificate stands.
     A disagreement on the scan itself would mean the reduced system is
-    wrong and raises.
+    wrong and raises. Like the B-key listing that confirms a point, it
+    refuses n > ``MAX_KEY_LABELS`` before any work.
     """
+    _check_key_labels(n)
     forms = generate_constraints(n, reduced=True)
     feas = solve_feasibility(forms, bounds)
     if not feas.feasible:

@@ -138,10 +138,14 @@ class MDivisor(Linear):
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MDivisor":
         """Entries naming the same divisor (both sides of a split, or one
-        subset spelled twice) add up."""
+        subset spelled twice) add up; fields other than these three are
+        refused."""
         m = data.get("m")
         if type(m) is not int:
             raise ValueError("MDivisor JSON needs an integer 'm'")
+        unknown = sorted(map(str, set(data) - {"m", "psi", "delta"}))
+        if unknown:
+            raise ValueError(f"MDivisor JSON has unknown fields {unknown}")
         pairs = [(Subset.from_labels([int(i)], m), q) for i, q in json_coeffs(data, "psi")]
         pairs += [(Subset.parse(key, m), q) for key, q in json_coeffs(data, "delta")]
         return cls(m, sum_by_key(pairs))

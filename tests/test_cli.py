@@ -193,6 +193,26 @@ class TestDivisorFileBoundary:
         code, out, err = self._run(tmp_path, capsys, data, "pullback", "beta")
         assert code == EXIT_USAGE and out == "" and "mixes" in err
 
+    def test_b_key_bound(self, tmp_path, capsys):
+        argv = ("pullback", "beta")
+        code, out, err = self._run(tmp_path, capsys, {"n": 21, "L": {"1": "1"}}, *argv)
+        assert code == EXIT_USAGE and out == "" and "2^21 - 21 - 1 B-keys" in err
+        code, out, _ = self._run(tmp_path, capsys, {"n": 20, "L": {"1": "1"}}, *argv)
+        assert code == EXIT_OK and out.splitlines()[:2] == ["beta_1: 1", "beta_2: 0"]
+
+    @pytest.mark.parametrize(
+        "data, argv",
+        [
+            ({"m": 5, "dleta": {"1,2": "1"}}, ("fcurves",)),
+            ({"n": 4, "L": {"1": "1"}, "b": {"1,2": "1"}}, ("pullback", "beta")),
+            ({"n": 4, "K": True, "a": {"4": "1"}, "psi": {}}, ("pullback", "alpha")),
+        ],
+        ids=["MDivisor", "KDivisor-explicit", "KDivisor-shorthand"],
+    )
+    def test_unknown_field(self, tmp_path, capsys, data, argv):
+        code, out, err = self._run(tmp_path, capsys, data, *argv)
+        assert code == EXIT_USAGE and out == "" and "unknown fields" in err
+
     @pytest.mark.parametrize(
         "data, argv",
         [
@@ -378,6 +398,10 @@ class TestUsageErrors:
                 code, out, err = run(capsys, *argv)
                 assert code == EXIT_USAGE and out == ""
                 assert f"2^{n} - {n} - 1 B-keys" in err
+
+    def test_search_beyond_the_b_key_bound(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "21", "--bounds", "a2>=0,a21<=1")
+        assert code == EXIT_USAGE and out == "" and "2^21 - 21 - 1 B-keys" in err
 
 
 def _raise(*args, **kwargs):

@@ -296,6 +296,16 @@ class TestSearchWitness:
         assert out.report.f_max < 0 and out.report.beta_degree < 0
         assert "outside [0,1]" in out.report.reason
 
+    def test_refused_beyond_the_b_key_bound_before_solving(self, monkeypatch):
+        import fcone.logfano
+
+        def _raise(*args, **kwargs):
+            raise AssertionError("solved a system it should have refused")
+
+        monkeypatch.setattr(fcone.logfano, "solve_feasibility", _raise)
+        with pytest.raises(ValueError, match=r"2\^21 - 21 - 1 B-keys"):
+            search_witness(21, Bounds.box(range(2, 22), 0, 1))
+
     def test_six_point_unit_box_also_infeasible(self):
         out = search_witness(6, Bounds.box(range(2, 7), 0, 1))
         assert not out.feasibility.feasible
