@@ -15,11 +15,12 @@ through the pullbacks themselves is kept in the test suite as the reference.
 The solver is Fourier-Motzkin elimination with a strict/non-strict flag
 per inequality. Each input form is rescaled once to a primitive integer
 row, and elimination stays on primitive integer rows; every derived
-inequality carries the multipliers that produced it, as integer
-numerators over one denominator per row. So infeasibility comes out as an
-explicit nonnegative combination of the input forms reducing to an absurd
-constant inequality, and feasibility comes out as a rational point. Both
-certificates re-check by plain substitution before they are returned.
+inequality records only the two rows and the weights that produced it.
+When a row reduces to an absurd constant inequality, that derivation is
+unwound once into nonnegative multipliers on the input forms, so
+infeasibility comes out as an explicit combination of the inputs, and
+feasibility comes out as a rational point. Both certificates re-check by
+plain substitution before they are returned.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .kmaps import (
     pullback_alpha,
 )
 from .mcurves import Verdict, f_curve_value
-from .rationals import RationalLike, as_rational
+from .rationals import RationalLike, as_rational, sum_by_key
 
 __all__ = [
     "LinearForm",
@@ -251,18 +252,11 @@ class FeasibilityResult:
         lam = self.multipliers
         if lam is None or len(lam) != len(self.forms) or any(x < 0 for x in lam):
             return False
-        const = Fraction(0)
-        coeffs: dict[int, Fraction] = {}
-        strict = False
-        for x, f in zip(lam, self.forms):
-            if not x:
-                continue
-            const += x * f.constant
-            strict = strict or f.strict
-            for s, q in f.coeffs:
-                coeffs[s] = coeffs.get(s, Fraction(0)) + x * q
-        if any(coeffs.values()):
+        used = [(x, f) for x, f in zip(lam, self.forms) if x]
+        if sum_by_key((s, x * q) for x, f in used for s, q in f.coeffs):
             return False
+        const = sum(x * f.constant for x, f in used)
+        strict = any(f.strict for _, f in used)
         return const > 0 or (const == 0 and strict)
 
     def to_json_dict(self) -> dict:
@@ -284,13 +278,12 @@ class FeasibilityResult:
 @dataclass(slots=True)
 class _Row:
     # working row: sum coeffs[s] * a_s + const (<|<=) 0 on a primitive integer
-    # vector, plus its provenance over the effective input forms (form k
-    # enters with multiplier hist[k] / den)
+    # vector; origin is (k, scale) for effective input form k times scale, or
+    # (p, q, a, b, d) for the row (a*p + b*q) / d derived from rows p and q
     coeffs: dict[int, int]
     const: int
     strict: bool
-    hist: dict[int, int]
-    den: int
+    origin: tuple
 
 
 def _primitive_scale(values: Iterable[Fraction]) -> Fraction:
@@ -305,28 +298,20 @@ def _primitive_scale(values: Iterable[Fraction]) -> Fraction:
 def _input_row(idx: int, form: LinearForm) -> _Row:
     scale = _primitive_scale([q for _, q in form.coeffs] + [form.constant])
     coeffs = {s: int(q * scale) for s, q in form.coeffs}
-    return _Row(
-        coeffs,
-        int(form.constant * scale),
-        form.strict,
-        {idx: scale.numerator},
-        scale.denominator,
+    return _Row(coeffs, int(form.constant * scale), form.strict, (idx, scale))
+
+
+def _multipliers(row: _Row) -> dict[int, Fraction]:
+    # the multiplier of each effective input form in row, unwinding
+    # lambda(r) = (a*lambda(p) + b*lambda(q)) / d down to the inputs
+    if len(row.origin) == 2:
+        idx, scale = row.origin
+        return {idx: scale}
+    p, q, a, b, d = row.origin
+    return sum_by_key(
+        [(k, a * x / d) for k, x in _multipliers(p).items()]
+        + [(k, b * x / d) for k, x in _multipliers(q).items()]
     )
-
-
-def _combined_hist(p: _Row, q: _Row, a: int, b: int, g: int) -> tuple[dict[int, int], int]:
-    # provenance of (a*p + b*q) / g; an all-zero combination (g == 0) is kept
-    # undivided, as p/b + q/a, which puts a*b into the denominator instead
-    wp, wq = a * q.den, b * p.den
-    hist = {k: wp * h for k, h in p.hist.items()}
-    for k, h in q.hist.items():
-        hist[k] = hist.get(k, 0) + wq * h
-    den = p.den * q.den * (g or a * b)
-    d = gcd(den, *hist.values())
-    if d > 1:
-        hist = {k: h // d for k, h in hist.items()}
-        den //= d
-    return hist, den
 
 
 def _is_contradiction(coeffs: Mapping[int, int], const: int, strict: bool) -> bool:
@@ -352,13 +337,13 @@ def solve_feasibility(
     Every working row is a primitive integer vector (the input forms are
     rescaled once): eliminating x from a row p with x-coefficient b > 0
     and a row q with x-coefficient -a < 0 forms a*p + b*q and divides out
-    the gcd of its entries. Each row keeps the nonnegative multipliers that derived
-    it from the inputs as integer numerators over one per-row denominator.
-    Among rows with the same coefficient vector only the strongest is kept;
-    the variable eliminated next is the one producing the fewest
-    combination rows. Back-substitution picks a rational point strictly
-    inside every strict bound, and both certificates are re-checked by
-    substitution before they are returned.
+    the gcd of its entries. Each kept row records its two parent rows and
+    those weights; only a contradicting row has its derivation unwound into
+    nonnegative multipliers on the input forms. Among rows with the same
+    coefficient vector only the strongest is kept; the variable eliminated
+    next is the one producing the fewest combination rows. Back-substitution
+    picks a rational point strictly inside every strict bound, and both
+    certificates are re-checked by substitution before they are returned.
     """
     eff = tuple(forms) + (bounds.forms() if bounds is not None else ())
 
@@ -366,7 +351,7 @@ def solve_feasibility(
     for idx, f in enumerate(eff):
         row = _input_row(idx, f)
         if _is_contradiction(row.coeffs, row.const, row.strict):
-            return _infeasible(eff, row.hist, row.den)
+            return _infeasible(eff, row)
         key = tuple(sorted(row.coeffs.items()))
         if row.coeffs and _replaces(table.get(key), row.const, row.strict):
             table[key] = row
@@ -403,12 +388,15 @@ def solve_feasibility(
                     coeffs = {s: c // g for s, c in coeffs.items()}
                     const //= g
                 if _is_contradiction(coeffs, const, strict):
-                    return _infeasible(eff, *_combined_hist(p, q, a, b, g))
+                    # an all-zero combination (g == 0) stays undivided, as
+                    # p/b + q/a, which puts a*b into the denominator instead
+                    origin = (p, q, a, b, g or a * b)
+                    return _infeasible(eff, _Row(coeffs, const, strict, origin))
                 if not coeffs:
                     continue
                 key = tuple(sorted(coeffs.items()))
                 if _replaces(table.get(key), const, strict):
-                    table[key] = _Row(coeffs, const, strict, *_combined_hist(p, q, a, b, g))
+                    table[key] = _Row(coeffs, const, strict, (p, q, a, b, g))
 
     point: dict[int, Fraction] = {}
     for x, pos, neg in reversed(stages):
@@ -419,12 +407,9 @@ def solve_feasibility(
     return result
 
 
-def _infeasible(
-    eff: tuple[LinearForm, ...], hist: Mapping[int, int], den: int
-) -> FeasibilityResult:
-    multipliers = tuple(
-        Fraction(hist[i], den) if i in hist else Fraction(0) for i in range(len(eff))
-    )
+def _infeasible(eff: tuple[LinearForm, ...], row: _Row) -> FeasibilityResult:
+    lam = _multipliers(row)
+    multipliers = tuple(lam.get(i, Fraction(0)) for i in range(len(eff)))
     result = FeasibilityResult(eff, multipliers=multipliers)
     if not result.check():
         raise RuntimeError("derived infeasibility certificate failed to validate")
@@ -590,9 +575,13 @@ def search_witness(n: int, bounds: Bounds | None = None) -> SearchOutcome:
     REFUTED for the range reason while the feasibility certificate stands.
     A disagreement on the scan itself would mean the reduced system is
     wrong and raises. Like the B-key listing that confirms a point, it
-    refuses n > ``MAX_KEY_LABELS`` before any work.
+    refuses n > ``MAX_KEY_LABELS`` before any work, and it refuses a bound
+    on any variable outside a_2..a_n before solving.
     """
     _check_key_labels(n)
+    if bounds is not None:
+        # BoundaryCombo's own rule and message for a nonexistent B[s]
+        BoundaryCombo(n, bounds.lower + bounds.upper)
     forms = generate_constraints(n, reduced=True)
     feas = solve_feasibility(forms, bounds)
     if not feas.feasible:

@@ -101,6 +101,19 @@ class TestSearchCommand:
         assert payload["result"]["feasibility"]["status"] == "infeasible"
         assert payload["result"]["feasibility"]["multipliers"]
 
+    @pytest.mark.parametrize(
+        "n, spec, missing",
+        [
+            ("6", "a4>=0,a6<=1,a9>=0", "B[9] does not exist on n=6"),
+            ("4", "a9>=1", "B[9] does not exist on n=4"),
+            ("5", "a0>=0", "B[0] does not exist on n=5"),
+            ("5", "a2>=0,a1<=1", "B[1] does not exist on n=5"),
+        ],
+    )
+    def test_bound_on_a_missing_variable_is_usage_error(self, capsys, n, spec, missing):
+        code, out, err = run(capsys, "search", "--n", n, "--bounds", spec)
+        assert code == EXIT_USAGE and out == "" and missing in err
+
 
 class TestFcurvesCommand:
     def test_negative_scan(self, tmp_path, capsys):

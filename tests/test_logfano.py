@@ -173,6 +173,28 @@ class TestSolver:
         report = verify_witness(5, {s: q for s, q in res.point.items()})
         assert report.verdict is WitnessVerdict.VERIFIED
 
+    def test_check_rejects_bad_multipliers(self):
+        # x < 0, -x <= 1, 1 <= 0 (non-strict), 0 <= 0 (non-strict)
+        forms = (
+            LinearForm.of(0, {2: 1}),
+            LinearForm.of(-1, {2: -1}, strict=False),
+            LinearForm.of(1, {}, strict=False),
+            LinearForm.of(0, {}, strict=False),
+        )
+
+        def checks(*lam):
+            return FeasibilityResult(forms, multipliers=tuple(map(Fraction, lam))).check()
+
+        assert checks(1, 1, 1, 0)  # sums to 0 < 0
+        assert checks(0, 0, 1, 0)  # 1 <= 0
+        assert not checks(1, 1, 0, 0)  # sums to -1 < 0, which holds
+        assert not checks(1, 0, 0, 0)  # the a2 coefficient survives
+        assert not checks(2, 1, 1, 0)  # a2 survives a mixed sum
+        assert not checks(0, 0, 0, 1)  # 0 <= 0 holds
+        assert not checks(1, 1, 1, -1)  # negative multiplier
+        assert not checks(0, 0, 1)  # misaligned with the forms
+        assert not checks(0, 0, 0, 0)
+
     def test_failed_certificate_self_check_raises(self, monkeypatch):
         monkeypatch.setattr(FeasibilityResult, "check", lambda self: False)
         with pytest.raises(RuntimeError, match="certificate failed to validate"):
@@ -305,6 +327,18 @@ class TestSearchWitness:
         monkeypatch.setattr(fcone.logfano, "solve_feasibility", _raise)
         with pytest.raises(ValueError, match=r"2\^21 - 21 - 1 B-keys"):
             search_witness(21, Bounds.box(range(2, 22), 0, 1))
+
+    def test_bound_on_a_missing_variable_refused_before_solving(self, monkeypatch):
+        import fcone.logfano
+
+        def _raise(*args, **kwargs):
+            raise AssertionError("solved a system it should have refused")
+
+        monkeypatch.setattr(fcone.logfano, "solve_feasibility", _raise)
+        with pytest.raises(ValueError, match=r"B\[9\] does not exist on n=4"):
+            search_witness(4, Bounds.of(lower={9: 1}))
+        with pytest.raises(ValueError, match=r"B\[1\] does not exist on n=6"):
+            search_witness(6, Bounds.of(lower={4: 0}, upper={1: 1}))
 
     def test_six_point_unit_box_also_infeasible(self):
         out = search_witness(6, Bounds.box(range(2, 7), 0, 1))

@@ -39,6 +39,33 @@ def test_no_assert_statements_in_scripts():
     assert not found, f"assert statements in the scripts: {found}"
 
 
+def _is_get_with_fraction_zero(node: ast.AST) -> bool:
+    # x.get(key, Fraction(0))
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and len(node.args) == 2
+        and ast.unparse(node.args[1]) == "Fraction(0)"
+    )
+
+
+def test_no_hand_rolled_fraction_merges():
+    # per-key exact sums go through rationals.sum_by_key, not
+    # ``d.get(k, Fraction(0)) + x``
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and (_is_get_with_fraction_zero(node.left) or _is_get_with_fraction_zero(node.right))
+        ]
+    assert not found, f"hand-rolled Fraction merges in the package: {found}"
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [
