@@ -30,7 +30,7 @@ from .logfano import (
     verify_witness,
 )
 from .mcurves import MDivisor, Verdict, f_positivity
-from .rationals import parse_rational
+from .rationals import json_coeffs, parse_rational
 from .strata import phi_divisor_map
 
 EXIT_OK = 0
@@ -58,7 +58,10 @@ def parse_combo_spec(text: str, n: int) -> BoundaryCombo:
                 match = _COMBO_TOKEN.match(token.strip())
                 if not match:
                     raise CliError(f"malformed combo token {token!r} (expected aS=p/q)")
-                coeffs[int(match.group(1))] = parse_rational(match.group(2))
+                s = int(match.group(1))
+                if s in coeffs:
+                    raise CliError(f"duplicate coefficient for a{s}")
+                coeffs[s] = parse_rational(match.group(2))
         return BoundaryCombo.of(n, coeffs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -252,28 +255,38 @@ def _default_expectations() -> str:
     return str(resources.files("fcone").joinpath("data/lemma_expectations.json"))
 
 
+def _spec_n(spec: dict) -> int:
+    if type(spec["n"]) is not int:
+        raise TypeError(f"'n' must be an integer, got {spec['n']!r}")
+    return spec["n"]
+
+
 def cmd_lemmas(args) -> int:
     path = args.expectations or _default_expectations()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             expected = json.load(fh)
-        spec4 = expected["log_fano_witness_4"]
-        spec5 = expected["log_fano_witness_5"]
+        fields = ("verdict", "f_min", "f_max", "beta_degree")
+        witnesses = []
+        for key in ("log_fano_witness_4", "log_fano_witness_5"):
+            spec = expected[key]
+            n = _spec_n(spec)
+            combo = BoundaryCombo(n, tuple((int(s), q) for s, q in json_coeffs(spec, "combo")))
+            witnesses.append((combo, {field: spec[field] for field in fields}))
         spec6 = expected["no_witness_6"]
-        for spec in (spec4, spec5):
-            for field in ("n", "combo", "verdict", "f_min", "f_max", "beta_degree"):
-                spec[field]
-        spec6["n"], spec6["bounds"], spec6["status"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        n6, bounds, status6 = _spec_n(spec6), spec6["bounds"], spec6["status"]
+        if not isinstance(bounds, dict):
+            raise TypeError(f"'bounds' must be a JSON object, got {bounds!r}")
+        bounds6 = Bounds.of(*(dict(json_coeffs(bounds, side)) for side in ("lower", "upper")))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load expectations from {path}: {exc}") from exc
 
     mismatches: list[str] = []
     rows: list[str] = []
     payload: dict = {}
 
-    for spec in (spec4, spec5):
-        n = spec["n"]
-        combo = BoundaryCombo.of(n, {int(s): parse_rational(q) for s, q in spec["combo"].items()})
+    for combo, want in witnesses:
+        n = combo.n
         report = verify_witness(n, combo)
         payload[f"witness_{n}"] = report
         got = {
@@ -283,23 +296,18 @@ def cmd_lemmas(args) -> int:
             "beta_degree": str(report.beta_degree),
         }
         for field, value in got.items():
-            if value != spec[field]:
-                mismatches.append(f"n={n}: {field} expected {spec[field]}, got {value}")
+            if value != want[field]:
+                mismatches.append(f"n={n}: {field} expected {want[field]}, got {value}")
         rows.append(
             f"n={n}  combo {combo}  F in [{report.f_min}, {report.f_max}]  "
             f"beta {report.beta_degree}  {report.verdict.value.upper()}"
         )
 
-    n6 = spec6["n"]
-    bounds6 = Bounds.of(
-        {int(s): parse_rational(q) for s, q in spec6["bounds"].get("lower", {}).items()},
-        {int(s): parse_rational(q) for s, q in spec6["bounds"].get("upper", {}).items()},
-    )
     outcome = search_witness(n6, bounds6)
     payload["search_6"] = outcome
     status = "feasible" if outcome.feasibility.feasible else "infeasible"
-    if status != spec6["status"]:
-        mismatches.append(f"n={n6}: status expected {spec6['status']}, got {status}")
+    if status != status6:
+        mismatches.append(f"n={n6}: status expected {status6}, got {status}")
     cert_ok = outcome.feasibility.check()
     if not cert_ok:
         mismatches.append(f"n={n6}: certificate failed re-validation")

@@ -14,8 +14,9 @@ through the pullbacks themselves is kept in the test suite as the reference.
 
 The solver is Fourier-Motzkin elimination with a strict/non-strict flag
 per inequality. Each input form is rescaled once to a primitive integer
-row, and elimination stays on primitive integer rows; every derived
-inequality records only the two rows and the weights that produced it.
+row, one dense tuple over the system's variables that is also its table
+key, and elimination stays on such rows; every derived inequality records
+only the two rows and the weights that produced it.
 When a row reduces to an absurd constant inequality, that derivation is
 unwound once into nonnegative multipliers on the input forms, so
 infeasibility comes out as an explicit combination of the inputs, and
@@ -277,28 +278,24 @@ class FeasibilityResult:
 
 @dataclass(slots=True)
 class _Row:
-    # working row: sum coeffs[s] * a_s + const (<|<=) 0 on a primitive integer
-    # vector; origin is (k, scale) for effective input form k times scale, or
-    # (p, q, a, b, d) for the row (a*p + b*q) / d derived from rows p and q
-    coeffs: dict[int, int]
+    # working row: sum coeffs[j] * a_{variables[j]} + const (<|<=) 0, dense,
+    # primitive; origin is (k, scale) for effective input form k times scale,
+    # or (p, q, a, b, d) for the row (a*p + b*q) / d derived from rows p and q
+    coeffs: tuple[int, ...]
     const: int
     strict: bool
     origin: tuple
 
 
-def _primitive_scale(values: Iterable[Fraction]) -> Fraction:
-    nz = [v for v in values if v]
-    if not nz:
-        return Fraction(1)
-    denom = lcm(*(v.denominator for v in nz))
-    numer = gcd(*(abs(v.numerator * denom // v.denominator) for v in nz))
-    return Fraction(denom, numer)
-
-
-def _input_row(idx: int, form: LinearForm) -> _Row:
-    scale = _primitive_scale([q for _, q in form.coeffs] + [form.constant])
-    coeffs = {s: int(q * scale) for s, q in form.coeffs}
-    return _Row(coeffs, int(form.constant * scale), form.strict, (idx, scale))
+def _input_row(idx: int, form: LinearForm, column: Mapping[int, int]) -> _Row:
+    # the form scaled to a primitive integer row; zeros add to no lcm or gcd
+    values = [q for _, q in form.coeffs] + [form.constant]
+    denom = lcm(*(v.denominator for v in values))
+    scale = Fraction(denom, gcd(*(v.numerator * denom // v.denominator for v in values)) or 1)
+    coeffs = [0] * len(column)
+    for s, q in form.coeffs:
+        coeffs[column[s]] = int(q * scale)
+    return _Row(tuple(coeffs), int(form.constant * scale), form.strict, (idx, scale))
 
 
 def _multipliers(row: _Row) -> dict[int, Fraction]:
@@ -314,8 +311,8 @@ def _multipliers(row: _Row) -> dict[int, Fraction]:
     )
 
 
-def _is_contradiction(coeffs: Mapping[int, int], const: int, strict: bool) -> bool:
-    return not coeffs and (const > 0 or (const == 0 and strict))
+def _is_contradiction(coeffs: tuple[int, ...], const: int, strict: bool) -> bool:
+    return not any(coeffs) and (const > 0 or (const == 0 and strict))
 
 
 def _replaces(held: _Row | None, const: int, strict: bool) -> bool:
@@ -334,74 +331,69 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Exact strict-aware feasibility by Fourier-Motzkin elimination.
 
-    Every working row is a primitive integer vector (the input forms are
-    rescaled once): eliminating x from a row p with x-coefficient b > 0
-    and a row q with x-coefficient -a < 0 forms a*p + b*q and divides out
-    the gcd of its entries. Each kept row records its two parent rows and
-    those weights; only a contradicting row has its derivation unwound into
-    nonnegative multipliers on the input forms. Among rows with the same
-    coefficient vector only the strongest is kept; the variable eliminated
-    next is the one producing the fewest combination rows. Back-substitution
-    picks a rational point strictly inside every strict bound, and both
-    certificates are re-checked by substitution before they are returned.
+    Every working row is a dense primitive integer tuple, one entry per
+    sorted variable, and is its own table key. Eliminating column x from
+    rows p (entry b > 0) and q (entry -a < 0) forms a*p + b*q entry by
+    entry, column x cancelling, and divides out the gcd. Each kept row
+    records its two parent rows and those weights; only a contradicting row
+    has its derivation unwound into nonnegative multipliers on the input
+    forms. Among rows with the same coefficient vector only the strongest
+    is kept; the variable eliminated next is the one producing the fewest
+    combination rows. Back-substitution picks a rational point strictly
+    inside every strict bound, and both certificates are re-checked by
+    substitution before they are returned.
     """
     eff = tuple(forms) + (bounds.forms() if bounds is not None else ())
+    variables = sorted({s for f in eff for s, _ in f.coeffs})
+    column = {s: j for j, s in enumerate(variables)}
 
-    table: dict[tuple, _Row] = {}
+    table: dict[tuple[int, ...], _Row] = {}
     for idx, f in enumerate(eff):
-        row = _input_row(idx, f)
+        row = _input_row(idx, f, column)
         if _is_contradiction(row.coeffs, row.const, row.strict):
             return _infeasible(eff, row)
-        key = tuple(sorted(row.coeffs.items()))
-        if row.coeffs and _replaces(table.get(key), row.const, row.strict):
-            table[key] = row
+        if any(row.coeffs) and _replaces(table.get(row.coeffs), row.const, row.strict):
+            table[row.coeffs] = row
 
-    remaining = sorted({s for row in table.values() for s in row.coeffs})
-    stages: list[tuple[int, list[_Row], list[_Row]]] = []
+    remaining = list(range(len(variables)))
+    stages: list[tuple[int, list[_Row]]] = []
     while remaining:
         rows = list(table.values())
 
         def fill(x: int) -> int:
-            npos = sum(1 for r in rows if r.coeffs.get(x, 0) > 0)
-            nneg = sum(1 for r in rows if r.coeffs.get(x, 0) < 0)
+            npos = sum(1 for r in rows if r.coeffs[x] > 0)
+            nneg = sum(1 for r in rows if r.coeffs[x] < 0)
             return npos * nneg - npos - nneg
 
-        x = min(remaining, key=lambda s: (fill(s), s))
+        x = min(remaining, key=lambda j: (fill(j), j))
         remaining.remove(x)
-        pos = [r for r in rows if r.coeffs.get(x, 0) > 0]
-        neg = [r for r in rows if r.coeffs.get(x, 0) < 0]
-        stages.append((x, pos, neg))
-        table = {key: r for key, r in table.items() if x not in r.coeffs}
+        pos = [r for r in rows if r.coeffs[x] > 0]
+        neg = [r for r in rows if r.coeffs[x] < 0]
+        stages.append((x, pos + neg))
+        table = {key: r for key, r in table.items() if not key[x]}
         for p in pos:
             b = p.coeffs[x]
             for q in neg:
                 a = -q.coeffs[x]
-                coeffs = {s: a * c for s, c in p.coeffs.items() if s != x}
-                for s, c in q.coeffs.items():
-                    if s != x:
-                        coeffs[s] = coeffs.get(s, 0) + b * c
-                coeffs = {s: c for s, c in coeffs.items() if c}
+                coeffs = tuple(a * c + b * e for c, e in zip(p.coeffs, q.coeffs))
                 const = a * p.const + b * q.const
                 strict = p.strict or q.strict
-                g = gcd(const, *coeffs.values())
+                g = gcd(const, *coeffs)
                 if g > 1:
-                    coeffs = {s: c // g for s, c in coeffs.items()}
+                    coeffs = tuple(c // g for c in coeffs)
                     const //= g
                 if _is_contradiction(coeffs, const, strict):
                     # an all-zero combination (g == 0) stays undivided, as
                     # p/b + q/a, which puts a*b into the denominator instead
                     origin = (p, q, a, b, g or a * b)
                     return _infeasible(eff, _Row(coeffs, const, strict, origin))
-                if not coeffs:
-                    continue
-                key = tuple(sorted(coeffs.items()))
-                if _replaces(table.get(key), const, strict):
-                    table[key] = _Row(coeffs, const, strict, (p, q, a, b, g))
+                if any(coeffs) and _replaces(table.get(coeffs), const, strict):
+                    table[coeffs] = _Row(coeffs, const, strict, (p, q, a, b, g))
 
-    point: dict[int, Fraction] = {}
-    for x, pos, neg in reversed(stages):
-        point[x] = _pick_value(x, pos, neg, point)
-    result = FeasibilityResult(eff, point=point)
+    values = [Fraction(0)] * len(variables)
+    for x, rows in reversed(stages):
+        values[x] = _pick_value(x, rows, values)
+    result = FeasibilityResult(eff, point=dict(zip(variables, values)))
     if not result.check():
         raise RuntimeError("solver point failed to validate")
     return result
@@ -416,26 +408,19 @@ def _infeasible(eff: tuple[LinearForm, ...], row: _Row) -> FeasibilityResult:
     return result
 
 
-def _pick_value(
-    x: int,
-    pos: Sequence[_Row],
-    neg: Sequence[_Row],
-    point: Mapping[int, Fraction],
-) -> Fraction:
-    # rows here mention x and later (already assigned) variables only; rest
-    # is a bare int when no other variable is left, hence Fraction(-rest, c)
-    ub: tuple[Fraction, bool] | None = None
-    for r in pos:
-        rest = r.const + sum(c * point[s] for s, c in r.coeffs.items() if s != x)
-        v = Fraction(-rest, r.coeffs[x])
-        if ub is None or v < ub[0] or (v == ub[0] and r.strict):
-            ub = (v, r.strict)
-    lb: tuple[Fraction, bool] | None = None
-    for r in neg:
-        rest = r.const + sum(c * point[s] for s, c in r.coeffs.items() if s != x)
-        v = Fraction(-rest, r.coeffs[x])
-        if lb is None or v > lb[0] or (v == lb[0] and r.strict):
-            lb = (v, r.strict)
+def _pick_value(x: int, rows: Sequence[_Row], values: Sequence[Fraction]) -> Fraction:
+    # rows here are nonzero in column x and otherwise only in assigned
+    # columns; the tightest bound on x from each side (side = sign of c)
+    bound: dict[int, tuple[Fraction, bool]] = {}
+    for r in rows:
+        c = r.coeffs[x]
+        rest = r.const + sum(e * values[j] for j, e in enumerate(r.coeffs) if e and j != x)
+        v = Fraction(-rest, c)
+        side = 1 if c > 0 else -1
+        held = bound.get(side)
+        if held is None or side * v < side * held[0] or (v == held[0] and r.strict):
+            bound[side] = (v, r.strict)
+    lb, ub = bound.get(-1), bound.get(1)
     if lb is None and ub is None:
         return Fraction(0)
     if lb is None:

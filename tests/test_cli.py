@@ -6,7 +6,7 @@ import json
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fcone.cli import (
     EXIT_OK,
@@ -38,6 +38,12 @@ class TestParsers:
     def test_bounds_spec(self):
         bounds = parse_bounds_spec("a4>=0,a6<=1")
         assert bounds.lower == ((4, 0),) and bounds.upper == ((6, 1),)
+
+    @pytest.mark.parametrize("spec", ["a4=1,a4=1/2", "a4=1,4=1"])
+    def test_repeated_combo_index_is_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "verify", "--n", "4", "--combo", spec)
+        assert code == EXIT_USAGE and out == ""
+        assert "duplicate coefficient for a4" in err
 
     def test_malformed_tokens(self):
         from fcone.cli import CliError
@@ -239,6 +245,18 @@ class TestDivisorFileBoundary:
         assert code == EXIT_USAGE and out == "" and "repeated" in err
 
 
+def assert_exit_contract(argv):
+    """Run argv in-process: an exit code 0..3, never a traceback, and a usage
+    error prints nothing on stdout and one ``fcone: error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_REFUTED, EXIT_UNDECIDED, EXIT_USAGE), code
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert out.getvalue() == "" and err.getvalue().startswith("fcone: error:")
+
+
 # JSON values for the divisor-file fuzz. Integers stay small: a bare integer
 # can only become an ambient size through ``divisor_files``, which keeps
 # m <= 8 and n <= 7 so that every scan stays small.
@@ -307,13 +325,7 @@ class TestDivisorFileFuzz:
     @staticmethod
     def _run(path, data, *argv):
         path.write_text(json.dumps(data))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--divisor", str(path)])
-        assert code in (EXIT_OK, EXIT_REFUTED, EXIT_UNDECIDED, EXIT_USAGE), code
-        assert "Traceback" not in err.getvalue()
-        if code == EXIT_USAGE:
-            assert out.getvalue() == "" and err.getvalue().startswith("fcone: error:")
+        assert_exit_contract([*argv, "--divisor", str(path)])
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -328,6 +340,122 @@ class TestDivisorFileFuzz:
     @settings(max_examples=150, deadline=None)
     def test_pullback(self, path, data, direction):
         self._run(path, data, "pullback", direction)
+
+
+# argv specs on n <= 6: tokens are mostly well formed, over few indices so
+# that repeats are common
+small_n = weighted([st.integers(3, 6)] * 3 + [st.integers(-1, 2)])
+spec_indices = weighted([st.integers(2, 6)] * 3 + [st.integers(0, 9)]).map(str)
+
+
+def spec_texts(relations):
+    token = st.tuples(
+        st.sampled_from(["a", "a", ""]), spec_indices, relations, rational_texts
+    ).map("".join)
+    return st.lists(token | st.text(max_size=4), max_size=4).map(",".join)
+
+
+class TestArgvFuzz:
+    """Every ``--combo`` and ``--bounds`` spec ends in an exit code 0..3."""
+
+    @given(n=small_n, spec=spec_texts(weighted([st.just("=")] * 4 + [st.sampled_from(["<=", ":", ""])])))
+    @example(n=4, spec="a4=1,a4=1/2")
+    @example(n=4, spec="a4=1,4=1")
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_verify_combo(self, n, spec):
+        assert_exit_contract(["verify", "--n", str(n), "--combo", spec])
+
+    @given(n=small_n, spec=spec_texts(weighted([st.sampled_from(["<=", ">="])] * 4 + [st.just("=")])))
+    @example(n=6, spec="a4>=0,a4>=1")
+    @example(n=6, spec="a4>=0,a9<=1")
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_search_bounds(self, n, spec):
+        assert_exit_contract(["search", "--n", str(n), "--bounds", spec])
+
+
+def packaged_expectations() -> dict:
+    return json.loads(
+        resources.files("fcone").joinpath("data/lemma_expectations.json").read_text()
+    )
+
+
+_DROP = object()
+
+
+def edited(entry, fields):
+    """``entry`` with any of ``fields`` replaced by a drawn value or dropped."""
+
+    def apply(edits):
+        out = dict(entry)
+        for field, value in edits.items():
+            if value is _DROP:
+                out.pop(field, None)
+            else:
+                out[field] = value
+        return out
+
+    optional = {field: values | st.just(_DROP) for field, values in fields.items()}
+    return st.fixed_dictionaries({}, optional=optional).map(apply)
+
+
+# ambient sizes stay at most 6, so that every lemma check stays small
+expectation_ns = weighted(
+    [st.integers(-1, 6)] * 3 + [json_values.filter(lambda v: type(v) is not int)]
+)
+index_maps = coeff_maps(spec_indices)
+expectation_texts = st.sampled_from(["verified", "refuted", "infeasible", "-1", "1/4"]) | json_scalars
+witness_fields = {
+    "n": expectation_ns,
+    "combo": index_maps,
+    **{f: expectation_texts for f in ("verdict", "f_min", "f_max", "beta_degree")},
+}
+search_fields = {
+    "n": expectation_ns,
+    "bounds": weighted(
+        [st.fixed_dictionaries({}, optional={"lower": index_maps, "upper": index_maps})] * 3
+        + [json_values]
+    ),
+    "status": expectation_texts,
+}
+_PACKAGED = packaged_expectations()
+expectation_files = weighted(
+    [
+        st.fixed_dictionaries(
+            {
+                "log_fano_witness_4": edited(_PACKAGED["log_fano_witness_4"], witness_fields),
+                "log_fano_witness_5": edited(_PACKAGED["log_fano_witness_5"], witness_fields),
+                "no_witness_6": edited(_PACKAGED["no_witness_6"], search_fields),
+            }
+        )
+    ]
+    * 4
+    + [json_values]
+)
+
+
+def with_entry(key, **fields):
+    data = packaged_expectations()
+    data[key] = {**data[key], **fields}
+    return data
+
+
+class TestExpectationsFuzz:
+    """Every expectations file ends in an exit code 0..3."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "expect.json"
+
+    @given(data=expectation_files)
+    @example(data=with_entry("no_witness_6", bounds=[]))
+    @example(data=with_entry("log_fano_witness_4", combo=[]))
+    @example(data=with_entry("log_fano_witness_4", combo={"4": 1}))
+    @example(data=with_entry("log_fano_witness_4", n="4"))
+    @example(data=with_entry("log_fano_witness_4", n=True))
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def test_lemmas(self, path, data):
+        path.write_text(json.dumps(data))
+        assert_exit_contract(["lemmas", "--expectations", str(path)])
 
 
 class TestStrataCommand:
@@ -373,6 +501,32 @@ class TestLemmasCommand:
         bad.write_text("{ not json")
         code, _, err = run(capsys, "lemmas", "--expectations", str(bad))
         assert code == EXIT_USAGE and "error" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            with_entry("no_witness_6", bounds=[]),
+            with_entry("no_witness_6", bounds={"lower": [4]}),
+            with_entry("log_fano_witness_4", combo=[]),
+            with_entry("log_fano_witness_4", combo={"4": 1.0}),
+            with_entry("log_fano_witness_4", n="4"),
+            with_entry("log_fano_witness_4", n=True),
+            with_entry("no_witness_6", n=True),
+        ],
+    )
+    def test_malformed_fields_exit_three(self, tmp_path, capsys, data):
+        bad = tmp_path / "expect.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "lemmas", "--expectations", str(bad))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"fcone: error: cannot load expectations from {bad}: ")
+
+    def test_integer_combo_value_reads_as_the_rational(self, tmp_path, capsys):
+        # as in divisor files, a bare JSON integer is an exact rational
+        given = tmp_path / "expect.json"
+        given.write_text(json.dumps(with_entry("log_fano_witness_4", combo={"4": 1})))
+        code, _, _ = run(capsys, "lemmas", "--expectations", str(given))
+        assert code == EXIT_OK
 
     def test_wrong_expectations_exit_one(self, tmp_path, capsys):
         wrong = tmp_path / "expect.json"

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from fcone.logfano import Bounds, generate_constraints, solve_feasibility
+from fcone.logfano import Bounds, LinearForm, generate_constraints, solve_feasibility
 
 
 def test_certificates_match_recorded_digest_at_n_10_and_11():
@@ -26,10 +26,13 @@ def test_certificates_match_recorded_digest_at_n_10_and_11():
     )
 
 
-@pytest.mark.parametrize("n, limit_mib", [(9, 7.5), (11, 9.0)])
+@pytest.mark.parametrize("n, limit_mib", [(9, 4.5), (11, 5.0)])
 def test_unit_box_solve_peak_memory(n, limit_mib):
-    # kept rows hold their two parent rows, not a multiplier dict each; with
-    # per-row dicts the peaks were 8.8 MiB (n = 9) and 10.7 MiB (n = 11)
+    # kept rows are one dense integer tuple, which is also their table key,
+    # and hold their two parent rows, not a multiplier dict each; with a
+    # sparse dict plus a sorted-items key per row the peaks were 6.0 MiB
+    # (n = 9) and 7.5 MiB (n = 11), with per-row multiplier dicts on top
+    # 8.8 MiB and 10.7 MiB
     forms = generate_constraints(n, reduced=True)
     bounds = Bounds.box(range(2, n + 1), 0, 1)
     tracemalloc.start()
@@ -40,3 +43,44 @@ def test_unit_box_solve_peak_memory(n, limit_mib):
         tracemalloc.stop()
     assert not result.feasible
     assert peak / 2**20 < limit_mib
+
+
+@pytest.mark.parametrize(
+    "forms, feasible",
+    [
+        # a3 + a1000000 < 2, a3 > 1/2, a1000000 >= 0
+        (
+            [
+                LinearForm.of(-2, {3: 1, 1000000: 1}),
+                LinearForm.of("1/2", {3: -1}),
+                LinearForm.of(0, {1000000: -1}, strict=False),
+            ],
+            True,
+        ),
+        # a3 + a1000000 > 1 with a3 <= 1/2 and a1000000 <= 1/2
+        (
+            [
+                LinearForm.of(1, {3: -1, 1000000: -1}),
+                LinearForm.of("-1/2", {3: 1}, strict=False),
+                LinearForm.of("-1/2", {1000000: 1}, strict=False),
+            ],
+            False,
+        ),
+    ],
+)
+def test_sparse_variable_indices_take_one_column_each(forms, feasible):
+    # two variables far apart make two columns, not a million: one
+    # million-entry row alone would take 8 MB
+    tracemalloc.start()
+    try:
+        result = solve_feasibility(forms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert result.feasible is feasible
+    assert result.check()
+    if feasible:
+        assert set(result.point) == {3, 1000000}
+    else:
+        assert all(x > 0 for x in result.multipliers)
