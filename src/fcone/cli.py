@@ -14,9 +14,11 @@ import json
 import re
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
 from .kmaps import (
+    MAX_KEY_LABELS,
     BoundaryCombo,
     KDivisor,
     canonical_class,
@@ -90,12 +92,29 @@ def parse_bounds_spec(text: str) -> Bounds:
         raise CliError(str(exc)) from exc
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for str-keyed dicts, lists, str, int, bool
+    and None, at C speed for strings: under ``indent`` json runs pure Python."""
+    if isinstance(obj, str):
+        return _json_string(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        ends = "{}"
+    elif isinstance(obj, list):
+        items = [_json_text(v, inner) for v in obj]
+        ends = "[]"
+    else:
+        return json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def _emit(args, command: str, inputs: dict, code: int, result, text) -> int:
     """Print the run report under ``--json``, else the text. ``result`` and
     ``text`` are callables, so only the printed format is built."""
     if args.json:
         report = {"command": command, "inputs": inputs, "result": result(), "exit": code}
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         out = text()
         print(out, end="" if out.endswith("\n") else "\n")
@@ -230,7 +249,7 @@ def cmd_pullback(args) -> int:
         if H.n < 3:
             raise CliError(f"curve-side pullback needs n >= 3, got n={H.n}")
         result = pullback_alpha(H).to_json_dict()
-        text = lambda: json.dumps(result, indent=2)
+        text = lambda: _json_text(result)
     else:
         degrees = {str(i): str(pullback_beta(H, i)) for i in range(1, H.n + 1)}
         result = {"degrees": degrees}
@@ -256,9 +275,12 @@ def _default_expectations() -> str:
 
 
 def _spec_n(spec: dict) -> int:
-    if type(spec["n"]) is not int:
-        raise TypeError(f"'n' must be an integer, got {spec['n']!r}")
-    return spec["n"]
+    n = spec["n"]
+    if type(n) is not int:
+        raise TypeError(f"'n' must be an integer, got {n!r}")
+    if not 3 <= n <= MAX_KEY_LABELS:
+        raise ValueError(f"'n' must be in 3..{MAX_KEY_LABELS}, got {n}")
+    return n
 
 
 def cmd_lemmas(args) -> int:

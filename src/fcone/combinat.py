@@ -22,6 +22,9 @@ __all__ = [
     "shape_of",
 ]
 
+# decimal text of the labels below 64, so printing a block formats no int
+_LABEL_TEXT = tuple(map(str, range(64)))
+
 
 @dataclass(frozen=True)
 class Subset:
@@ -114,7 +117,12 @@ class Subset:
         # built once per instance: the scan interns one Subset per block
         text = self.__dict__.get("_str")
         if text is None:
-            text = self.__dict__["_str"] = ",".join(map(str, self.labels))
+            out, mask = [], self.mask
+            while mask:
+                lab = (mask & -mask).bit_length()
+                out.append(_LABEL_TEXT[lab] if lab < 64 else str(lab))
+                mask &= mask - 1
+            text = self.__dict__["_str"] = ",".join(out)
         return text
 
 
@@ -193,7 +201,7 @@ class FourPartition:
         return (tuple(p.min_label for p in self.parts), self.block_labels())
 
     def __str__(self) -> str:
-        return "|".join("{" + str(p) + "}" for p in self.parts)
+        return "{%s}|{%s}|{%s}|{%s}" % self.parts
 
 
 @dataclass(frozen=True)

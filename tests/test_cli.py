@@ -521,6 +521,15 @@ class TestLemmasCommand:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith(f"fcone: error: cannot load expectations from {bad}: ")
 
+    @pytest.mark.parametrize("n", [0, 2, 21])
+    @pytest.mark.parametrize("key", ["log_fano_witness_4", "log_fano_witness_5", "no_witness_6"])
+    def test_n_outside_the_decidable_range_exit_three(self, tmp_path, capsys, key, n):
+        bad = tmp_path / "expect.json"
+        bad.write_text(json.dumps(with_entry(key, n=n)))
+        code, out, err = run(capsys, "lemmas", "--expectations", str(bad))
+        assert code == EXIT_USAGE and out == "" and "Traceback" not in err
+        assert err.startswith(f"fcone: error: cannot load expectations from {bad}: ")
+
     def test_integer_combo_value_reads_as_the_rational(self, tmp_path, capsys):
         # as in divisor files, a bare JSON integer is an exact rational
         given = tmp_path / "expect.json"
@@ -595,14 +604,18 @@ class TestOnlyThePrintedFormatIsBuilt:
         assert code == EXIT_REFUTED and out.count("also:") == 5
 
     def test_pullback_alpha_json_encodes_once(self, monkeypatch, capsys):
+        # the writer recurses one indent deeper per level: count only the
+        # calls that start a document
+        import fcone.cli as cli
+
         calls = []
-        dumps = json.dumps
+        writer = cli._json_text
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return dumps(*args, **kwargs)
+        def counting(obj, indent="\n"):
+            calls.append(indent == "\n")
+            return writer(obj, indent)
 
-        monkeypatch.setattr(json, "dumps", counting)
+        monkeypatch.setattr(cli, "_json_text", counting)
         code, out, _ = run(capsys, "pullback", "alpha", "--n", "5", "--K", "--json")
         assert code == EXIT_OK and json.loads(out)["command"] == "pullback"
-        assert len(calls) == 1
+        assert sum(calls) == 1

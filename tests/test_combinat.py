@@ -5,7 +5,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fcone.combinat import (
     FourPartition,
@@ -74,7 +74,8 @@ class TestSubset:
             S.relabel([1, 1, 2, 3])
 
 
-    @given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+    @given(st.integers(1, 80).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+    @example((70, 1 | 1 << 62 | 1 << 63 | 1 << 64 | 1 << 69))  # labels past the text table
     def test_labels_and_text_from_set_bits(self, m_mask):
         m, mask = m_mask
         S = Subset(mask, m)
