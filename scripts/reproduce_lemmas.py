@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 from fcone.combinat import enumerate_four_partitions, enumerate_shapes
-from fcone.kmaps import BoundaryCombo, canonical_class, pullback_alpha
+from fcone.kmaps import BoundaryCombo, pullback_alpha
 from fcone.logfano import Bounds, generate_constraints, solve_feasibility, verify_witness
 from fcone.mcurves import f_curve_value
 
@@ -16,7 +16,7 @@ from fcone.mcurves import f_curve_value
 def show_witness(n, combo):
     combo = BoundaryCombo.of(n, combo)
     print(f"== n={n}: boundary {combo} ==")
-    H = canonical_class(n) + combo.to_divisor()
+    H = combo.to_divisor(K=True)
     pulled = pullback_alpha(H)
     print("curve-side pullback coefficients (canonical keys):")
     for S in pulled.support():

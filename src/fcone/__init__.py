@@ -19,7 +19,6 @@ from .kmaps import (
     boundary_keys,
     canonical_class,
     chs_ample,
-    k_build,
     pullback_alpha,
     pullback_beta,
 )
@@ -43,7 +42,6 @@ from .mcurves import (
     Verdict,
     f_curve_value,
     f_positivity,
-    m_linear_combine,
 )
 from .rationals import as_rational, parse_rational
 from .strata import DivisorCorrespondence, phi_divisor_map
@@ -79,8 +77,6 @@ __all__ = [
     "f_curve_value",
     "f_positivity",
     "generate_constraints",
-    "k_build",
-    "m_linear_combine",
     "parse_rational",
     "phi_divisor_map",
     "pullback_alpha",

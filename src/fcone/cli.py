@@ -236,11 +236,9 @@ def _divisor_from_args(args) -> KDivisor:
         raise CliError("need --divisor FILE or --n N (with optional --K/--combo)")
     if not (args.K or args.combo):
         raise CliError("empty divisor: pass --K and/or --combo")
-    K = canonical_class(args.n) if args.K else None
-    if not args.combo:
-        return K
-    combo = parse_combo_spec(args.combo, args.n).to_divisor()
-    return combo if K is None else K + combo
+    if args.K and not 1 <= args.n <= MAX_KEY_LABELS:
+        canonical_class(args.n)  # raises K_n's own error before the combo is read
+    return parse_combo_spec(args.combo, args.n).to_divisor(args.K)
 
 
 def cmd_pullback(args) -> int:

@@ -99,11 +99,6 @@ class Subset:
     def complement(self) -> "Subset":
         return Subset(self.mask ^ ((1 << self.m) - 1), self.m)
 
-    def union(self, other: "Subset") -> "Subset":
-        if other.m != self.m:
-            raise ValueError(f"ambient mismatch: {self.m} vs {other.m}")
-        return Subset(self.mask | other.mask, self.m)
-
     def relabel(self, sigma: Sequence[int]) -> "Subset":
         """Apply a permutation given as the image tuple (sigma[i-1] = image of i)."""
         if sorted(sigma) != list(range(1, self.m + 1)):
@@ -170,10 +165,6 @@ class FourPartition:
             object.__setattr__(
                 self, "parts", tuple(sorted(parts, key=lambda p: p.mask & -p.mask))
             )
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]], m: int) -> "FourPartition":
-        return cls(tuple(Subset.from_labels(b, m) for b in blocks))
 
     @classmethod
     def parse(cls, text: str, m: int) -> "FourPartition":

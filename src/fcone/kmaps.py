@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping
 
 from .combinat import Subset
 from .mcurves import AmpDecision, MDivisor, Verdict, f_positivity
@@ -43,7 +43,6 @@ __all__ = [
     "ChsDecision",
     "MAX_KEY_LABELS",
     "boundary_keys",
-    "k_build",
     "canonical_class",
     "pullback_alpha",
     "pullback_beta",
@@ -102,19 +101,6 @@ class KDivisor(Linear):
             raise ValueError(f"B-key needs |S| >= 2, got {S!r}")
         return S
 
-    @staticmethod
-    def _combine(terms: Sequence[tuple[RationalLike, "KDivisor"]]) -> "KDivisor":
-        n = terms[0][1].n
-        for _, div in terms:
-            if div.n != n:
-                raise ValueError(f"mixed n: {n} vs {div.n}")
-        scaled = [(as_rational(c), div) for c, div in terms]
-        return KDivisor(
-            n,
-            sum_by_key((i, c * q) for c, div in scaled if c for i, q in div.l_coeffs.items()),
-            sum_by_key((S, c * q) for c, div in scaled if c for S, q in div.b_coeffs.items()),
-        )
-
     def l_coefficient(self, i: int) -> Fraction:
         if not 1 <= i <= self.n:
             raise ValueError(f"label {i} out of range 1..{self.n}")
@@ -151,8 +137,7 @@ class KDivisor(Linear):
             if type(K) is not bool:
                 raise ValueError(f"KDivisor JSON 'K' must be true or false, got {K!r}")
             combo = BoundaryCombo(n, tuple((int(s), q) for s, q in json_coeffs(data, "a")))
-            div = combo.to_divisor()
-            return canonical_class(n) + div if K else div
+            return combo.to_divisor(K)
         return cls(
             n,
             sum_by_key((int(i), q) for i, q in json_coeffs(data, "L")),
@@ -186,10 +171,14 @@ class BoundaryCombo:
     def get(self, s: int) -> Fraction:
         return dict(self.a).get(s, Fraction(0))
 
-    def to_divisor(self) -> KDivisor:
-        coeff = dict(self.a)
-        b = {S: coeff[S.size] for S in boundary_keys(self.n) if S.size in coeff}
-        return KDivisor(self.n, {}, b)
+    def to_divisor(self, K: bool = False) -> KDivisor:
+        """sum a_s B[s], or with ``K`` the class K_n + sum a_s B[s], in one
+        pass over the B-keys."""
+        a = dict(self.a)
+        level = {s: Fraction(K * (s - 2)) + a.get(s, 0) for s in range(2, self.n + 1)}
+        b = {S: level[S.size] for S in boundary_keys(self.n) if level[S.size]}
+        l = {i: Fraction(-2) for i in range(1, self.n + 1)} if K else {}
+        return KDivisor(self.n, l, b)
 
     def __str__(self) -> str:
         if not self.a:
@@ -197,44 +186,9 @@ class BoundaryCombo:
         return ",".join(f"a{s}={q}" for s, q in self.a)
 
 
-def k_build(
-    n: int,
-    l: RationalLike | Mapping[int, RationalLike] | None = None,
-    combo: BoundaryCombo | Mapping[int, RationalLike] | None = None,
-    b: Mapping | None = None,
-) -> KDivisor:
-    """Assemble a divisor from L-coefficients plus either a symmetric combo
-    or explicit B-coefficients.
-
-    ``l`` may be one rational (applied to every L_i) or a per-label map.
-    """
-    if combo is not None and b is not None:
-        raise ValueError("pass a symmetric combo or explicit B-coefficients, not both")
-    if isinstance(l, Mapping):
-        l_map = {int(i): as_rational(q) for i, q in l.items()}
-    elif l is not None:
-        c = as_rational(l)
-        l_map = {i: c for i in range(1, n + 1)}
-    else:
-        l_map = {}
-    div = KDivisor(n, l_map, {})
-    if combo is not None:
-        if not isinstance(combo, BoundaryCombo):
-            combo = BoundaryCombo.of(n, combo)
-        if combo.n != n:
-            raise ValueError(f"combo is on n={combo.n}, expected {n}")
-        div = div + combo.to_divisor()
-    if b is not None:
-        div = div + KDivisor(n, {}, dict(b))
-    return div
-
-
 def canonical_class(n: int) -> KDivisor:
     """K_n = -2 * sum L_i + sum over s >= 3 of (s-2) B[s]."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    b = {S: Fraction(S.size - 2) for S in boundary_keys(n) if S.size >= 3}
-    return KDivisor(n, {i: Fraction(-2) for i in range(1, n + 1)}, b)
+    return BoundaryCombo(n, ()).to_divisor(K=True)
 
 
 def pullback_alpha(H: KDivisor) -> MDivisor:
@@ -295,12 +249,7 @@ class ChsDecision:
         }
 
 
-def chs_ample(
-    H: KDivisor,
-    sense: Literal["ample", "anti-ample"] = "ample",
-    *,
-    all_witnesses: bool = False,
-) -> ChsDecision:
+def chs_ample(H: KDivisor, sense: Literal["ample", "anti-ample"] = "ample") -> ChsDecision:
     """Decide (anti-)ampleness through the two pullbacks.
 
     The anti-ample test checks negativity directly rather than negating the
@@ -313,11 +262,7 @@ def chs_ample(
     """
     if sense not in ("ample", "anti-ample"):
         raise ValueError(f"unknown sense {sense!r}")
-    alpha = f_positivity(
-        pullback_alpha(H),
-        "positive" if sense == "ample" else "negative",
-        all_witnesses=all_witnesses,
-    )
+    alpha = f_positivity(pullback_alpha(H), "positive" if sense == "ample" else "negative")
     degrees = beta_degrees(H)
     if sense == "ample":
         bad = tuple(i for i, d in degrees if not d > 0)

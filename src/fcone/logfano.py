@@ -37,7 +37,6 @@ from .kmaps import (
     BoundaryCombo,
     ChsVerdict,
     _check_key_labels,
-    canonical_class,
     chs_ample,
     pullback_alpha,
 )
@@ -103,17 +102,6 @@ class LinearForm:
             "coeffs": {str(s): str(q) for s, q in self.coeffs},
             "relation": self.relation,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "LinearForm":
-        rel = data.get("relation", "<0")
-        if rel not in ("<0", "<=0"):
-            raise ValueError(f"unknown relation {rel!r}")
-        return cls.of(
-            as_rational(data["constant"]),
-            {int(s): as_rational(q) for s, q in dict(data.get("coeffs", {})).items()},
-            strict=(rel == "<0"),
-        )
 
     def __str__(self) -> str:
         terms: list[tuple[str, str]] = []
@@ -488,7 +476,7 @@ def verify_witness(
     if n < 3:
         raise ValueError(f"witness verification needs n >= 3, got {n}")
     combo = _as_combo(n, combo)
-    H = canonical_class(n) + combo.to_divisor()
+    H = combo.to_divisor(K=True)
     decision = chs_ample(H, "anti-ample")
 
     A = pullback_alpha(H)

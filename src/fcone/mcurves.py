@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 from .combinat import FourPartition, Subset, canonical_key, enumerate_four_partitions
-from .rationals import Linear, RationalLike, as_rational, json_coeffs, sum_by_key
+from .rationals import Linear, as_rational, json_coeffs, sum_by_key
 
 __all__ = [
     "FULTON_MAX_MARKINGS",
@@ -39,7 +39,6 @@ __all__ = [
     "FValue",
     "Verdict",
     "AmpDecision",
-    "m_linear_combine",
     "f_curve_value",
     "f_positivity",
 ]
@@ -74,24 +73,6 @@ class MDivisor(Linear):
             raise ValueError(f"boundary key {S} needs m >= 4")
         return canonical_key(S)
 
-    @staticmethod
-    def _combine(terms: Sequence[tuple[RationalLike, "MDivisor"]]) -> "MDivisor":
-        return m_linear_combine(terms)
-
-    @classmethod
-    def zero(cls, m: int) -> "MDivisor":
-        return cls(m, {})
-
-    @classmethod
-    def delta(cls, labels: Iterable[int], m: int) -> "MDivisor":
-        """Unit coefficient on the boundary divisor split off by ``labels``."""
-        return cls(m, {Subset.from_labels(labels, m): Fraction(1)})
-
-    @classmethod
-    def psi(cls, i: int, m: int) -> "MDivisor":
-        """The cotangent class psi_i, i.e. coefficient -1 on the key {i}."""
-        return cls(m, {Subset.from_labels([i], m): Fraction(-1)})
-
     def coefficient(self, key: KeyLike) -> Fraction:
         S = canonical_key(Subset.of(key, self.m))
         return self.coeffs.get(S, Fraction(0))
@@ -113,9 +94,6 @@ class MDivisor(Linear):
             if S.size >= 2:
                 table[full ^ S.mask] = num
         return den, table
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def relabel(self, sigma: Sequence[int]) -> "MDivisor":
         return MDivisor(self.m, {S.relabel(sigma): q for S, q in self.coeffs.items()})
@@ -151,22 +129,6 @@ class MDivisor(Linear):
         return cls(m, sum_by_key(pairs))
 
 
-def m_linear_combine(
-    terms: Sequence[tuple[RationalLike, MDivisor]]
-) -> MDivisor:
-    """Exact coefficient-wise combination sum(scalar * divisor)."""
-    if not terms:
-        raise ValueError("need at least one term")
-    m = terms[0][1].m
-    for _, div in terms:
-        if div.m != m:
-            raise ValueError(f"mixed ambient sizes {m} and {div.m}")
-    scaled = [(as_rational(c), div) for c, div in terms]
-    return MDivisor(
-        m, sum_by_key((S, c * q) for c, div in scaled if c for S, q in div.coeffs.items())
-    )
-
-
 @dataclass(frozen=True)
 class FValue:
     """The intersection number of a divisor with one F-curve."""
@@ -198,7 +160,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class AmpDecision:
-    """Outcome of the full F-curve scan.
+    """Outcome of the full F-curve scan, which tests strict inequalities.
 
     POSITIVE means every F-value satisfied the tested inequality and the
     marking count is within the range where that settles (anti-)ampleness;
@@ -207,7 +169,6 @@ class AmpDecision:
 
     verdict: Verdict
     sense: Literal["positive", "negative"]
-    strict: bool
     witness: FourPartition | None = None
     witness_value: Fraction | None = None
     violations: tuple[FValue, ...] = ()
@@ -216,7 +177,7 @@ class AmpDecision:
         out: dict = {
             "verdict": self.verdict.value,
             "sense": self.sense,
-            "strict": self.strict,
+            "strict": True,  # every scan is strict; the field keeps the report's bytes
         }
         if self.witness is not None:
             out["witness"] = str(self.witness)
@@ -229,20 +190,12 @@ class AmpDecision:
         return out
 
 
-def _satisfies(sense: str, strict: bool) -> Callable[[Fraction], bool]:
-    if sense == "positive":
-        return (lambda v: v > 0) if strict else (lambda v: v >= 0)
-    if sense == "negative":
-        return (lambda v: v < 0) if strict else (lambda v: v <= 0)
-    raise ValueError(f"unknown sense {sense!r}")
+# the strict inequality each sense asks of every F-value
+_SATISFIES = {"positive": lambda v: v > 0, "negative": lambda v: v < 0}
 
 
 def f_positivity(
-    H: MDivisor,
-    sense: Literal["positive", "negative"],
-    *,
-    strict: bool = True,
-    all_witnesses: bool = False,
+    H: MDivisor, sense: Literal["positive", "negative"], *, all_witnesses: bool = False
 ) -> AmpDecision:
     """Scan every F-curve; report the first violation in enumeration order.
 
@@ -251,7 +204,9 @@ def f_positivity(
     """
     if H.m < 4:
         raise ValueError(f"no F-curves on m={H.m} < 4 markings")
-    ok = _satisfies(sense, strict)
+    ok = _SATISFIES.get(sense)
+    if ok is None:
+        raise ValueError(f"unknown sense {sense!r}")
     hits: list[FValue] = []
     for P in enumerate_four_partitions(H.m):
         v = f_curve_value(H, P)
@@ -264,7 +219,6 @@ def f_positivity(
         return AmpDecision(
             Verdict.NOT_POSITIVE,
             sense,
-            strict,
             witness=first.partition,
             witness_value=first.value,
             violations=tuple(hits) if all_witnesses else (),
@@ -274,4 +228,4 @@ def f_positivity(
         if H.m <= FULTON_MAX_MARKINGS
         else Verdict.POSITIVE_BUT_UNDECIDED
     )
-    return AmpDecision(verdict, sense, strict)
+    return AmpDecision(verdict, sense)

@@ -25,7 +25,6 @@ from fcone.kmaps import (
     BoundaryCombo,
     boundary_keys,
     canonical_class,
-    k_build,
     pullback_alpha,
     pullback_beta,
 )
@@ -37,7 +36,7 @@ from fcone.logfano import (
     solve_feasibility,
     verify_witness,
 )
-from fcone.mcurves import MDivisor, f_curve_value, m_linear_combine
+from fcone.mcurves import MDivisor, f_curve_value
 from fcone.strata import phi_divisor_map
 
 
@@ -45,7 +44,7 @@ def test_criterion_1_log_fano_witness_on_four_points():
     report = verify_witness(4, {4: 1})
     assert report.verdict is WitnessVerdict.VERIFIED
     values = [
-        f_curve_value(pullback_alpha(canonical_class(4) + k_build(4, combo={4: 1})), P)
+        f_curve_value(pullback_alpha(BoundaryCombo.of(4, {4: 1}).to_divisor(K=True)), P)
         for P in enumerate_four_partitions(5)
     ]
     assert len(values) == 10
@@ -59,7 +58,7 @@ def test_criterion_2_log_fano_witness_on_five_points():
     combo = {2: Fraction(1, 4), 4: Fraction(1, 4), 5: Fraction(1)}
     report = verify_witness(5, combo)
     assert report.verdict is WitnessVerdict.VERIFIED
-    H = pullback_alpha(canonical_class(5) + k_build(5, combo=combo))
+    H = pullback_alpha(BoundaryCombo.of(5, combo).to_divisor(K=True))
     values = [f_curve_value(H, P) for P in enumerate_four_partitions(6)]
     assert len(values) == 65
     assert all(v == Fraction(-1, 4) for v in values)
@@ -138,7 +137,7 @@ def test_criterion_5_six_point_coefficient_table():
 
     for _ in range(10):
         a = {s: rand_rational() for s in range(2, 7)}
-        H = pullback_alpha(canonical_class(6) + k_build(6, combo=a))
+        H = pullback_alpha(BoundaryCombo.of(6, a).to_divisor(K=True))
         for mask in range(1, (1 << 7) - 1):
             T = Subset(mask, 7)
             # the side of {T, T^c} avoiding label 7 classifies the table row:
@@ -201,7 +200,7 @@ def test_criterion_6_property_battery():
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         P = partitions6[rng.randrange(len(partitions6))]
-        lhs = f_curve_value(m_linear_combine([(a, H1), (b, H2)]), P)
+        lhs = f_curve_value(a * H1 + b * H2, P)
         assert lhs == a * f_curve_value(H1, P) + b * f_curve_value(H2, P)
     for _ in range(10):
         combos = [
@@ -217,9 +216,7 @@ def test_criterion_6_property_battery():
         a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         b = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         G = a * combos[0] + b * combos[1]
-        assert pullback_alpha(G) == m_linear_combine(
-            [(a, pullback_alpha(combos[0])), (b, pullback_alpha(combos[1]))]
-        )
+        assert pullback_alpha(G) == a * pullback_alpha(combos[0]) + b * pullback_alpha(combos[1])
         for i in (1, 3, 5):
             assert pullback_beta(G, i) == a * pullback_beta(
                 combos[0], i

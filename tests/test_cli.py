@@ -17,7 +17,7 @@ from fcone.cli import (
     parse_bounds_spec,
     parse_combo_spec,
 )
-from fcone.kmaps import canonical_class, k_build, pullback_alpha
+from fcone.kmaps import BoundaryCombo, canonical_class, pullback_alpha
 from fcone.mcurves import MDivisor
 
 
@@ -123,7 +123,7 @@ class TestSearchCommand:
 
 class TestFcurvesCommand:
     def test_negative_scan(self, tmp_path, capsys):
-        H = pullback_alpha(canonical_class(4) + k_build(4, combo={4: 1}))
+        H = pullback_alpha(BoundaryCombo.of(4, {4: 1}).to_divisor(K=True))
         path = tmp_path / "divisor.json"
         path.write_text(json.dumps(H.to_json_dict()))
         code, out, _ = run(capsys, "fcurves", "--divisor", str(path), "--sense", "negative")
@@ -168,7 +168,7 @@ class TestPullbackCommand:
         )
         assert code == EXIT_OK
         parsed = MDivisor.from_json_dict(json.loads(out))
-        assert parsed == pullback_alpha(canonical_class(4) + k_build(4, combo={4: 1}))
+        assert parsed == pullback_alpha(BoundaryCombo.of(4, {4: 1}).to_divisor(K=True))
 
     def test_divisor_file_with_combo_shorthand(self, tmp_path, capsys):
         path = tmp_path / "divisor.json"
@@ -574,6 +574,15 @@ class TestUsageErrors:
                 code, out, err = run(capsys, *argv)
                 assert code == EXIT_USAGE and out == ""
                 assert f"2^{n} - {n} - 1 B-keys" in err
+
+    @pytest.mark.parametrize(
+        "K, message",
+        [(("--K",), "2^25 - 25 - 1 B-keys"), ((), "B[30] does not exist on n=25")],
+    )
+    def test_canonical_class_error_wins_over_the_combo(self, capsys, K, message):
+        # with --K the B-key bound is named first, without it the bad combo
+        code, out, err = run(capsys, "pullback", "beta", "--n", "25", *K, "--combo", "a30=1")
+        assert code == EXIT_USAGE and out == "" and message in err
 
     def test_search_beyond_the_b_key_bound(self, capsys):
         code, out, err = run(capsys, "search", "--n", "21", "--bounds", "a2>=0,a21<=1")

@@ -116,17 +116,17 @@ class TestCanonicalKey:
 
 class TestFourPartition:
     def test_block_order_normalized(self):
-        P = FourPartition.from_blocks([[4, 5], [2], [1], [3]], 5)
+        P = FourPartition.parse("{4,5}|{2}|{1}|{3}", 5)
         assert str(P) == "{1}|{2}|{3}|{4,5}"
         assert FourPartition.parse("{4,5}|{3}|{2}|{1}", 5) == P
 
     def test_invalid_partitions_rejected(self):
         with pytest.raises(ValueError):
-            FourPartition.from_blocks([[1], [1], [2], [3]], 3)
+            FourPartition.parse("{1}|{1}|{2}|{3}", 3)
         with pytest.raises(ValueError):
-            FourPartition.from_blocks([[1], [2], [3], [4]], 5)  # misses 5
+            FourPartition.parse("{1}|{2}|{3}|{4}", 5)  # misses 5
         with pytest.raises(ValueError):
-            FourPartition.from_blocks([[1], [2], [3, 4], [4]], 4)
+            FourPartition.parse("{1}|{2}|{3,4}|{4}", 4)
 
     def test_each_block_check_rejects(self):
         one, two, three = (Subset.from_labels([x], 4) for x in (1, 2, 3))

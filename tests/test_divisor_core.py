@@ -1,6 +1,6 @@
 """The sparse-coefficient core shared by both divisor classes: ``+``, ``-``,
-negation, scalar ``*`` and ``m_linear_combine`` against coefficient-wise
-reference sums written out here."""
+negation and scalar ``*`` (one ``Linear._combine`` for both classes)
+against coefficient-wise reference sums written out here."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fcone.combinat import Subset
 from fcone.kmaps import KDivisor
-from fcone.mcurves import MDivisor, m_linear_combine
+from fcone.mcurves import MDivisor
 
 # small numerators over mixed denominators, zero included
 rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 12]))
@@ -77,7 +77,7 @@ def test_mdivisor_arithmetic_matches_reference(case):
     checks = operations(divs[0], divs[1], raw[0], raw[1], a)
     checks.append(
         (
-            m_linear_combine([(a, divs[0]), (b, divs[1]), (c, divs[2])]),
+            a * divs[0] + b * divs[1] + c * divs[2],
             [(Fraction(a), raw[0]), (Fraction(b), raw[1]), (Fraction(c), raw[2])],
         )
     )

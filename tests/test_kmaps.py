@@ -1,7 +1,8 @@
-"""Stable-map divisors: builders, canonical class, the two pullbacks, and
-the combined ampleness decision."""
+"""Stable-map divisors: symmetric classes, canonical class, the two
+pullbacks, and the combined ampleness decision."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,10 @@ from fcone.kmaps import (
     boundary_keys,
     canonical_class,
     chs_ample,
-    k_build,
     pullback_alpha,
     pullback_beta,
 )
-from fcone.mcurves import MDivisor, Verdict, f_curve_value, m_linear_combine
+from fcone.mcurves import MDivisor, Verdict, f_curve_value
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -39,27 +39,19 @@ def kdivisors(n):
 
 class TestBuilders:
     def test_single_top_key(self):
-        H = k_build(4, combo={4: 1})
+        H = BoundaryCombo.of(4, {4: 1}).to_divisor()
         assert H.b_coeffs == {Subset.from_labels([1, 2, 3, 4], 4): Fraction(1)}
 
     def test_symmetric_level_expansion(self):
-        H = k_build(4, combo={2: 1})
+        H = BoundaryCombo.of(4, {2: 1}).to_divisor()
         assert len(H.b_coeffs) == 6
         assert all(q == 1 for q in H.b_coeffs.values())
         assert all(S.size == 2 for S in H.b_coeffs)
 
-    def test_scalar_l_applies_to_every_label(self):
-        H = k_build(3, l=Fraction(-2))
-        assert H.l_coeffs == {1: Fraction(-2), 2: Fraction(-2), 3: Fraction(-2)}
-
     def test_explicit_b_coefficients(self):
-        H = k_build(4, b={(1, 2): "1/2"})
+        H = KDivisor(4, {}, {(1, 2): "1/2"})
         assert H.b_coefficient([1, 2]) == Fraction(1, 2)
         assert H.b_coefficient([3, 4]) == 0  # raw keys: no complement identification
-
-    def test_combo_and_b_exclusive(self):
-        with pytest.raises(ValueError):
-            k_build(4, combo={2: 1}, b={(1, 2): 1})
 
     def test_out_of_range_levels_rejected(self):
         with pytest.raises(ValueError):
@@ -72,6 +64,29 @@ class TestBuilders:
         assert combo.get(2) == Fraction(1, 4)
         assert combo.get(3) == 0
         assert str(combo) == "a2=1/4,a4=1/4,a5=1"
+
+    def test_mixed_n_refused_by_the_shared_combine(self):
+        with pytest.raises(ValueError, match="mixed n: 4 vs 5"):
+            KDivisor(4, {}, {}) + KDivisor(5, {}, {})
+
+
+class TestToDivisorWithK:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_one_pass_equals_the_operator_sum(self, n):
+        rng = random.Random(n)
+        sizes = list(range(2, n + 1))
+        combos = [{}, {s: 2 - s for s in sizes}]  # a_s = 2 - s cancels K's B-coefficient
+        for k in range(1, min(n - 1, 3) + 1):
+            levels = rng.sample(sizes, k)
+            combos.append({s: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for s in levels})
+        for a in combos:
+            combo = BoundaryCombo.of(n, a)
+            H = combo.to_divisor(K=True)
+            assert H == canonical_class(n) + combo.to_divisor()
+            assert H.l_coeffs == {i: -2 for i in range(1, n + 1)}
+            expected = {S: S.size - 2 + combo.get(S.size) for S in boundary_keys(n)}
+            assert H.b_coeffs == {S: q for S, q in expected.items() if q}
+        assert BoundaryCombo.of(n, combos[1]).to_divisor(K=True).b_coeffs == {}
 
 
 class TestCanonicalClass:
@@ -101,7 +116,7 @@ class TestCanonicalClass:
 
 class TestPullbackAlpha:
     def test_top_boundary_becomes_minus_psi(self):
-        pulled = pullback_alpha(k_build(4, combo={4: 1}))
+        pulled = pullback_alpha(BoundaryCombo.of(4, {4: 1}).to_divisor())
         assert pulled == MDivisor(5, {Subset.from_labels([5], 5): Fraction(1)})
 
     def test_canonical_class_formula(self):
@@ -113,7 +128,8 @@ class TestPullbackAlpha:
         assert len(pulled.coeffs) == 5
 
     def test_line_classes_die(self):
-        assert pullback_alpha(k_build(5, l=1)).is_zero()
+        L = KDivisor(5, {i: 1 for i in range(1, 6)}, {})
+        assert pullback_alpha(L) == MDivisor(6, {})
 
     def test_needs_three_markings(self):
         with pytest.raises(ValueError):
@@ -124,7 +140,7 @@ class TestPullbackAlpha:
     def test_linearity(self, args):
         H, G, a, b = args
         lhs = pullback_alpha(a * H + b * G)
-        rhs = m_linear_combine([(a, pullback_alpha(H)), (b, pullback_alpha(G))])
+        rhs = a * pullback_alpha(H) + b * pullback_alpha(G)
         assert lhs == rhs
 
 
@@ -139,12 +155,12 @@ class TestPullbackBeta:
         # only the full-set key contributes at n=2, so the degree is the
         # L-coefficient alone: -2 for the canonical class
         assert pullback_beta(canonical_class(2), 1) == -2
-        assert pullback_beta(k_build(2, combo={2: 1}), 1) == -1
+        assert pullback_beta(BoundaryCombo.of(2, {2: 1}).to_divisor(), 1) == -1
 
     def test_lemma_values(self):
-        H4 = canonical_class(4) + k_build(4, combo={4: 1})
+        H4 = BoundaryCombo.of(4, {4: 1}).to_divisor(K=True)
         assert pullback_beta(H4, 2) == -6
-        D = k_build(5, combo={2: "1/4", 4: "1/4", 5: 1})
+        D = BoundaryCombo.of(5, {2: "1/4", 4: "1/4", 5: 1}).to_divisor()
         assert pullback_beta(canonical_class(5) + D, 3) == Fraction(-33, 4)
 
     def test_label_out_of_range(self):
@@ -185,7 +201,7 @@ class TestShapeConstancy:
 
 class TestChsAmple:
     def test_first_lemma_verified(self):
-        H = canonical_class(4) + k_build(4, combo={4: 1})
+        H = BoundaryCombo.of(4, {4: 1}).to_divisor(K=True)
         decision = chs_ample(H, "anti-ample")
         assert decision.verdict is ChsVerdict.HOLDS
         assert decision.alpha.verdict is Verdict.POSITIVE
@@ -193,7 +209,7 @@ class TestChsAmple:
         assert decision.beta_violations == ()
 
     def test_second_lemma_verified(self):
-        D = k_build(5, combo={2: "1/4", 4: "1/4", 5: 1})
+        D = BoundaryCombo.of(5, {2: "1/4", 4: "1/4", 5: 1}).to_divisor()
         decision = chs_ample(canonical_class(5) + D, "anti-ample")
         assert decision.verdict is ChsVerdict.HOLDS
 
@@ -204,9 +220,9 @@ class TestChsAmple:
         assert decision.alpha.witness_value == 0
 
     def test_negation_agreement(self):
-        H = canonical_class(4) + k_build(4, combo={4: 1, 2: "1/3"})
-        anti = chs_ample(H, "anti-ample", all_witnesses=True)
-        amp = chs_ample(-1 * H, "ample", all_witnesses=True)
+        H = BoundaryCombo.of(4, {4: 1, 2: "1/3"}).to_divisor(K=True)
+        anti = chs_ample(H, "anti-ample")
+        amp = chs_ample(-1 * H, "ample")
         assert anti.verdict == amp.verdict
         assert anti.alpha.witness == amp.alpha.witness
         assert anti.beta_violations == amp.beta_violations
@@ -235,19 +251,18 @@ class TestChsAmple:
 
 class TestJson:
     def test_round_trip(self):
-        H = canonical_class(5) + k_build(5, combo={2: "1/4"})
+        H = BoundaryCombo.of(5, {2: "1/4"}).to_divisor(K=True)
         assert KDivisor.from_json_dict(H.to_json_dict()) == H
 
     def test_combo_shorthand(self):
         data = {"n": 5, "K": True, "a": {"2": "1/4", "4": "1/4", "5": "1"}}
-        expected = canonical_class(5) + k_build(
-            5, combo={2: "1/4", 4: "1/4", 5: 1}
-        )
+        combo = BoundaryCombo.of(5, {2: "1/4", 4: "1/4", 5: 1})
+        expected = canonical_class(5) + combo.to_divisor()
         assert KDivisor.from_json_dict(data) == expected
 
     def test_combo_shorthand_without_k(self):
         data = {"n": 4, "a": {"2": "1"}}
-        assert KDivisor.from_json_dict(data) == k_build(4, combo={2: 1})
+        assert KDivisor.from_json_dict(data) == BoundaryCombo.of(4, {2: 1}).to_divisor()
 
     def test_bad_json_rejected(self):
         with pytest.raises(ValueError):

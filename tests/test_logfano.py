@@ -48,10 +48,6 @@ class TestLinearForm:
         assert not f.satisfied_by({2: Fraction(0)})
         assert g.satisfied_by({2: Fraction(0)})
 
-    def test_json_round_trip(self):
-        f = LinearForm.of("-1/2", {2: "3", 4: "-1/3"}, strict=False)
-        assert LinearForm.from_json_dict(f.to_json_dict()) == f
-
     def test_str(self):
         assert str(FORM_I) == "3*a2 - a3 - 1 < 0"
         assert str(LinearForm.of(0, {}, strict=False)) == "0 <= 0"
@@ -207,8 +203,7 @@ class TestSolver:
         data = res.to_json_dict()
         assert data["status"] == "infeasible"
         assert all(Fraction(m["lambda"]) > 0 for m in data["multipliers"])
-        rebuilt = [LinearForm.from_json_dict(f) for f in data["forms"]]
-        assert rebuilt[0] == FORM_I
+        assert data["forms"][0] == FORM_I.to_json_dict()
 
 
 def _random_system(rng):

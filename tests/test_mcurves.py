@@ -13,22 +13,21 @@ from fcone.combinat import (
     enumerate_four_partitions,
     shape_of,
 )
-from fcone.kmaps import canonical_class, k_build, pullback_alpha
+from fcone.kmaps import BoundaryCombo, canonical_class, pullback_alpha
 from fcone.mcurves import (
     MDivisor,
     Verdict,
     f_curve_value,
     f_positivity,
-    m_linear_combine,
 )
 
 
 def lemma_divisor_m5():
     """-3 psi_5 plus the sum of boundary keys over 3-subsets avoiding 5."""
-    terms = [(-3, MDivisor.psi(5, 5))]
+    coeffs = {Subset.from_labels([5], 5): 3}
     for labels in itertools.combinations(range(1, 5), 3):
-        terms.append((1, MDivisor.delta(labels, 5)))
-    return m_linear_combine(terms)
+        coeffs[Subset.from_labels(labels, 5)] = 1
+    return MDivisor(5, coeffs)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -54,7 +53,7 @@ class TestMDivisor:
         assert len(H.coeffs) == 1
 
     def test_size_m_minus_one_normalizes_to_singleton(self):
-        H = MDivisor.delta([1, 2, 3, 4], 5)
+        H = MDivisor(5, {(1, 2, 3, 4): 1})
         assert H.coefficient([5]) == 1
         assert H.coefficient([1, 2, 3, 4]) == 1
 
@@ -68,11 +67,11 @@ class TestMDivisor:
         with pytest.raises(ValueError):
             MDivisor(3, {Subset.from_labels([1, 2], 3): Fraction(1)})
         # psi keys are fine below four markings
-        assert MDivisor.psi(1, 3).coefficient([1]) == -1
+        assert MDivisor(3, {(1,): -1}).coefficient([1]) == -1
 
     def test_zero_coefficients_dropped(self):
         H = MDivisor(5, {Subset.from_labels([1, 2], 5): Fraction(0)})
-        assert H.is_zero()
+        assert H.coeffs == {}
 
     def test_json_round_trip_and_psi_sign(self):
         H = lemma_divisor_m5()
@@ -102,23 +101,21 @@ class TestMDivisor:
 class TestLinearCombine:
     def test_identity_and_inverse(self):
         H = lemma_divisor_m5()
-        other = MDivisor.delta([1, 5], 5)
-        assert m_linear_combine([(1, H), (0, other)]) == H
-        assert m_linear_combine([(1, H), (-1, H)]).is_zero()
+        other = MDivisor(5, {(1, 5): 1})
+        assert H + 0 * other == H
+        assert (H + -1 * H).coeffs == {}
 
     def test_matches_alpha_pullback_of_lemma_divisor(self):
-        pulled = pullback_alpha(canonical_class(4) + k_build(4, combo={4: 1}))
+        pulled = pullback_alpha(BoundaryCombo.of(4, {4: 1}).to_divisor(K=True))
         assert pulled == lemma_divisor_m5()
 
     def test_mismatched_ambient_rejected(self):
-        with pytest.raises(ValueError):
-            m_linear_combine([(1, MDivisor.zero(5)), (1, MDivisor.zero(6))])
-        with pytest.raises(ValueError):
-            m_linear_combine([])
+        with pytest.raises(ValueError, match="mixed m: 5 vs 6"):
+            MDivisor(5, {}) + MDivisor(6, {})
 
     def test_operators(self):
         H = lemma_divisor_m5()
-        assert H - H == MDivisor.zero(5)
+        assert H - H == MDivisor(5, {})
         assert Fraction(1, 2) * (H + H) == H
 
 
@@ -134,8 +131,8 @@ class TestFCurveValue:
         assert set(values) == {Fraction(-1)}
 
     def test_second_lemma_constant_minus_quarter(self):
-        D = k_build(5, combo={2: Fraction(1, 4), 4: Fraction(1, 4), 5: 1})
-        H = pullback_alpha(canonical_class(5) + D)
+        combo = BoundaryCombo.of(5, {2: Fraction(1, 4), 4: Fraction(1, 4), 5: 1})
+        H = pullback_alpha(combo.to_divisor(K=True))
         P = FourPartition.parse("{1}|{2}|{6}|{3,4,5}", 6)
         assert f_curve_value(H, P) == Fraction(-1, 4)
         values = [f_curve_value(H, Q) for Q in enumerate_four_partitions(6)]
@@ -144,18 +141,18 @@ class TestFCurveValue:
 
     def test_zero_divisor(self):
         P = FourPartition.parse("{1}|{2}|{3}|{4,5}", 5)
-        assert f_curve_value(MDivisor.zero(5), P) == 0
+        assert f_curve_value(MDivisor(5, {}), P) == 0
 
     def test_size_mismatch_rejected(self):
         P = FourPartition.parse("{1}|{2}|{3}|{4,5}", 5)
         with pytest.raises(ValueError):
-            f_curve_value(MDivisor.zero(6), P)
+            f_curve_value(MDivisor(6, {}), P)
 
     @given(st.tuples(mdivisors(6), mdivisors(6), rationals, rationals))
     @settings(max_examples=50)
     def test_linearity(self, args):
         H1, H2, a, b = args
-        combined = m_linear_combine([(a, H1), (b, H2)])
+        combined = a * H1 + b * H2
         for P in itertools.islice(enumerate_four_partitions(6), 0, 65, 13):
             assert f_curve_value(combined, P) == a * f_curve_value(
                 H1, P
@@ -172,7 +169,7 @@ class TestFCurveValue:
 def reference_f_value(H, P):
     """The F-value read through ``MDivisor.coefficient``, term by term."""
     I = P.parts[0]
-    return sum(H.coefficient(I.union(X)) for X in P.parts[1:]) - sum(
+    return sum(H.coefficient(Subset(I.mask | X.mask, H.m)) for X in P.parts[1:]) - sum(
         H.coefficient(part) for part in P.parts
     )
 
@@ -232,14 +229,9 @@ class TestFPositivity:
         assert shape_of(decision.witness).sizes == (1, 1, 1, 2)
 
     def test_zero_divisor_never_strictly_positive(self):
-        decision = f_positivity(MDivisor.zero(5), "positive")
+        decision = f_positivity(MDivisor(5, {}), "positive")
         assert decision.verdict is Verdict.NOT_POSITIVE
         assert decision.witness_value == 0
-
-    def test_nonstrict_mode(self):
-        decision = f_positivity(MDivisor.zero(5), "positive", strict=False)
-        assert decision.verdict is Verdict.POSITIVE
-        assert decision.strict is False
 
     def test_all_witnesses_listed_in_order(self):
         H = pullback_alpha(canonical_class(4))
@@ -263,7 +255,7 @@ class TestFPositivity:
     def test_antisymmetry_of_sense(self):
         for H in (lemma_divisor_m5(), pullback_alpha(canonical_class(4))):
             neg = f_positivity(H, "negative", all_witnesses=True)
-            pos = f_positivity(m_linear_combine([(-1, H)]), "positive", all_witnesses=True)
+            pos = f_positivity(-H, "positive", all_witnesses=True)
             assert neg.verdict == pos.verdict
             assert neg.witness == pos.witness
             assert [v.partition for v in neg.violations] == [
@@ -280,7 +272,7 @@ class TestFPositivity:
                 yield P
 
         monkeypatch.setattr("fcone.mcurves.enumerate_four_partitions", counting)
-        H = pullback_alpha(canonical_class(9) + k_build(9, combo={4: 1}))
+        H = pullback_alpha(BoundaryCombo.of(9, {4: 1}).to_divisor(K=True))
         decision = f_positivity(H, "negative")
         assert decision.verdict is Verdict.NOT_POSITIVE
         position = list(enumerate_four_partitions(10)).index(decision.witness) + 1
@@ -288,4 +280,4 @@ class TestFPositivity:
 
     def test_too_few_markings_rejected(self):
         with pytest.raises(ValueError):
-            f_positivity(MDivisor.psi(1, 3), "positive")
+            f_positivity(MDivisor(3, {(1,): -1}), "positive")
