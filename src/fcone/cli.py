@@ -21,7 +21,6 @@ from .kmaps import (
     MAX_KEY_LABELS,
     BoundaryCombo,
     KDivisor,
-    canonical_class,
     pullback_alpha,
     pullback_beta,
 )
@@ -236,8 +235,8 @@ def _divisor_from_args(args) -> KDivisor:
         raise CliError("need --divisor FILE or --n N (with optional --K/--combo)")
     if not (args.K or args.combo):
         raise CliError("empty divisor: pass --K and/or --combo")
-    if args.K and not 1 <= args.n <= MAX_KEY_LABELS:
-        canonical_class(args.n)  # raises K_n's own error before the combo is read
+    if args.K:
+        KDivisor(args.n, {}, {})  # K_n's own errors on n win over the combo's
     return parse_combo_spec(args.combo, args.n).to_divisor(args.K)
 
 

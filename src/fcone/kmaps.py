@@ -174,9 +174,10 @@ class BoundaryCombo:
     def to_divisor(self, K: bool = False) -> KDivisor:
         """sum a_s B[s], or with ``K`` the class K_n + sum a_s B[s], in one
         pass over the B-keys."""
+        keys = boundary_keys(self.n)  # refuses n > MAX_KEY_LABELS before any work
         a = dict(self.a)
         level = {s: Fraction(K * (s - 2)) + a.get(s, 0) for s in range(2, self.n + 1)}
-        b = {S: level[S.size] for S in boundary_keys(self.n) if level[S.size]}
+        b = {S: level[S.size] for S in keys if level[S.size]}
         l = {i: Fraction(-2) for i in range(1, self.n + 1)} if K else {}
         return KDivisor(self.n, l, b)
 

@@ -567,10 +567,21 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run(capsys, "verify", "--n", "4", "--weird")[0] == EXIT_USAGE
 
-    def test_huge_n_refused_before_listing_b_keys(self, capsys):
+    def test_huge_n_refused_before_listing_b_keys(self, tmp_path, capsys):
         # 2^30 B-keys would not fit in memory; the refusal names the count
-        for n in ("30", "1000000"):
-            for argv in (("strata", "--n", n), ("pullback", "beta", "--n", n, "--K")):
+        # before anything of size n is built, so n = 10^9 is refused at once
+        for n in ("30", "1000000", "1000000000"):
+            K_file, a_file = tmp_path / "K.json", tmp_path / "a.json"
+            K_file.write_text(f'{{"n": {n}, "K": true}}')
+            a_file.write_text(f'{{"n": {n}, "a": {{}}}}')
+            for argv in (
+                ("strata", "--n", n),
+                ("pullback", "beta", "--n", n, "--K"),
+                ("pullback", "beta", "--n", n, "--combo", "a2=1"),
+                ("pullback", "beta", "--divisor", str(K_file)),
+                ("pullback", "beta", "--divisor", str(a_file)),
+                ("verify", "--n", n, "--combo", "a2=1"),
+            ):
                 code, out, err = run(capsys, *argv)
                 assert code == EXIT_USAGE and out == ""
                 assert f"2^{n} - {n} - 1 B-keys" in err
@@ -583,6 +594,10 @@ class TestUsageErrors:
         # with --K the B-key bound is named first, without it the bad combo
         code, out, err = run(capsys, "pullback", "beta", "--n", "25", *K, "--combo", "a30=1")
         assert code == EXIT_USAGE and out == "" and message in err
+
+    def test_k_error_on_n_wins_over_a_malformed_combo(self, capsys):
+        code, out, err = run(capsys, "pullback", "beta", "--n", "0", "--K", "--combo", "zz")
+        assert code == EXIT_USAGE and out == "" and "n must be >= 1, got 0" in err
 
     def test_search_beyond_the_b_key_bound(self, capsys):
         code, out, err = run(capsys, "search", "--n", "21", "--bounds", "a2>=0,a21<=1")

@@ -292,6 +292,12 @@ class TestBoundaryKeys:
         with pytest.raises(ValueError, match=rf"2\^{n} - {n} - 1 B-keys"):
             boundary_keys(n)
 
+    @pytest.mark.parametrize("K", [False, True])
+    def test_huge_class_refused_before_anything_of_size_n(self, K):
+        n = 10**9
+        with pytest.raises(ValueError, match=rf"2\^{n} - {n} - 1 B-keys"):
+            BoundaryCombo.of(n, {2: 1}).to_divisor(K)
+
     def test_raw_sides_are_distinct_keys(self):
         keys = list(boundary_keys(4))
         assert Subset.from_labels([1, 2], 4) in keys
