@@ -8,7 +8,6 @@ from .combinat import (
     canonical_key,
     enumerate_four_partitions,
     enumerate_shapes,
-    shape_of,
 )
 from .kmaps import (
     BoundaryCombo,
@@ -82,7 +81,6 @@ __all__ = [
     "pullback_alpha",
     "pullback_beta",
     "search_witness",
-    "shape_of",
     "solve_feasibility",
     "verify_witness",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 __all__ = [
     "Subset",
@@ -19,7 +19,6 @@ __all__ = [
     "canonical_key",
     "enumerate_four_partitions",
     "enumerate_shapes",
-    "shape_of",
 ]
 
 # decimal text of the labels below 64, so printing a block formats no int
@@ -81,29 +80,11 @@ class Subset:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    @property
-    def min_label(self) -> int:
-        if not self.mask:
-            raise ValueError("empty subset has no minimum")
-        return (self.mask & -self.mask).bit_length()
-
     def __contains__(self, label: int) -> bool:
         return 1 <= label <= self.m and bool(self.mask >> (label - 1) & 1)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return self.size
-
     def complement(self) -> "Subset":
         return Subset(self.mask ^ ((1 << self.m) - 1), self.m)
-
-    def relabel(self, sigma: Sequence[int]) -> "Subset":
-        """Apply a permutation given as the image tuple (sigma[i-1] = image of i)."""
-        if sorted(sigma) != list(range(1, self.m + 1)):
-            raise ValueError("sigma is not a permutation of 1..m")
-        return Subset.from_labels((sigma[lab - 1] for lab in self.labels), self.m)
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (self.size, self.labels)
@@ -166,17 +147,6 @@ class FourPartition:
                 self, "parts", tuple(sorted(parts, key=lambda p: p.mask & -p.mask))
             )
 
-    @classmethod
-    def parse(cls, text: str, m: int) -> "FourPartition":
-        """Inverse of ``str``, e.g. "{1}|{2}|{3}|{4,5}"."""
-        blocks = []
-        for tok in text.split("|"):
-            tok = tok.strip()
-            if not (tok.startswith("{") and tok.endswith("}")):
-                raise ValueError(f"malformed block {tok!r}")
-            blocks.append(Subset.parse(tok[1:-1], m))
-        return cls(tuple(blocks))
-
     @property
     def m(self) -> int:
         return self.parts[0].m
@@ -184,48 +154,28 @@ class FourPartition:
     def block_labels(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.labels for p in self.parts)
 
-    def relabel(self, sigma: Sequence[int]) -> "FourPartition":
-        return FourPartition(tuple(p.relabel(sigma) for p in self.parts))
-
-    def sort_key(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        # lexicographic in the part minima, then in the full label tuples
-        return (tuple(p.min_label for p in self.parts), self.block_labels())
-
     def __str__(self) -> str:
         return "{%s}|{%s}|{%s}|{%s}" % self.parts
 
 
 @dataclass(frozen=True)
 class PartitionShape:
-    """Orbit label of a four-block partition: the size multiset, plus the size
-    of the block containing the special label when one is designated."""
+    """Orbit label of a four-block partition under the permutations fixing a
+    special label: the size multiset and the size of the block holding it."""
 
     sizes: tuple[int, int, int, int]
-    special_part_size: int | None = None
+    special_part_size: int
 
     def __post_init__(self) -> None:
         if len(self.sizes) != 4 or any(s < 1 for s in self.sizes):
             raise ValueError(f"invalid size multiset {self.sizes}")
         if tuple(sorted(self.sizes)) != self.sizes:
             raise ValueError("sizes must be sorted ascending")
-        if self.special_part_size is not None and self.special_part_size not in self.sizes:
+        if self.special_part_size not in self.sizes:
             raise ValueError("special part size must be one of the sizes")
 
     def __str__(self) -> str:
-        base = "+".join(str(s) for s in self.sizes)
-        if self.special_part_size is None:
-            return base
-        return f"{base}(special in {self.special_part_size})"
-
-
-def shape_of(P: FourPartition, special: int | None = None) -> PartitionShape:
-    sizes = tuple(sorted(p.size for p in P.parts))
-    sp = None
-    if special is not None:
-        if not 1 <= special <= P.m:
-            raise ValueError(f"special label {special} out of range 1..{P.m}")
-        sp = next(p.size for p in P.parts if special in p)
-    return PartitionShape(sizes, sp)
+        return "+".join(map(str, self.sizes)) + f"(special in {self.special_part_size})"
 
 
 def _preorder(free: int, mask: int = 0) -> Iterator[int]:
@@ -276,9 +226,7 @@ def enumerate_four_partitions(m: int) -> Iterator[FourPartition]:
                     yield FourPartition((P1, P2, block(p3), block(full ^ p1 ^ p2 ^ p3)))
 
 
-def enumerate_shapes(
-    m: int, special: int | None = None
-) -> list[tuple[PartitionShape, FourPartition]]:
+def enumerate_shapes(m: int, special: int) -> list[tuple[PartitionShape, FourPartition]]:
     """Distinct shapes with one representative each, in order of first
     occurrence along ``enumerate_four_partitions``.
 
@@ -289,12 +237,11 @@ def enumerate_shapes(
     """
     if m < 4:
         raise ValueError(f"no four-block partitions of {m} < 4 labels")
-    if special is not None and not 1 <= special <= m:
+    if not 1 <= special <= m:
         raise ValueError(f"special label {special} out of range 1..{m}")
     # key: the block sizes in block order, then the size of the block holding
-    # the special bit (without one, bit 0 falls through to the last block and
-    # repeats its size); a shape is built once per new key
-    bit = 0 if special is None else 1 << special - 1
+    # the special bit; a shape is built once per new key
+    bit = 1 << special - 1
     shapes: dict[tuple[int, ...], PartitionShape] = {}
     reps: dict[PartitionShape, FourPartition] = {}
     for P in enumerate_four_partitions(m):
@@ -308,9 +255,7 @@ def enumerate_shapes(
             (a if a & bit else b if b & bit else c if c & bit else d).bit_count(),
         )
         if key not in shapes:
-            sh = shapes[key] = PartitionShape(
-                tuple(sorted(key[:4])), None if special is None else key[4]
-            )
+            sh = shapes[key] = PartitionShape(tuple(sorted(key[:4])), key[4])
             if sh not in reps:
                 reps[sh] = P
     return list(reps.items())

@@ -19,9 +19,9 @@ Pullback calculus used throughout (Coskun-Harris-Starr):
         B_S  ->  0                       otherwise,
         L_i  ->  degree 1,   L_j -> 0 for j != i.
 
-A divisor is ample iff both pullbacks are (the curve side via the F-curve
-scan, every line section by sign of its degree); anti-ample is the same
-test with all signs reversed.
+The one positivity test here is anti-ampleness, through both pullbacks:
+the curve-side pullback must meet every F-curve negatively (the F-curve
+scan) and every line section must have negative degree.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .combinat import Subset
 from .mcurves import AmpDecision, MDivisor, Verdict, f_positivity
@@ -101,11 +101,6 @@ class KDivisor(Linear):
             raise ValueError(f"B-key needs |S| >= 2, got {S!r}")
         return S
 
-    def l_coefficient(self, i: int) -> Fraction:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"label {i} out of range 1..{self.n}")
-        return self.l_coeffs.get(i, Fraction(0))
-
     def b_coefficient(self, key: Subset | Iterable[int]) -> Fraction:
         return self.b_coeffs.get(Subset.of(key, self.n), Fraction(0))
 
@@ -168,9 +163,6 @@ class BoundaryCombo:
     def of(cls, n: int, coefficients: Mapping[int, RationalLike]) -> "BoundaryCombo":
         return cls(n, tuple((s, as_rational(q)) for s, q in coefficients.items()))
 
-    def get(self, s: int) -> Fraction:
-        return dict(self.a).get(s, Fraction(0))
-
     def to_divisor(self, K: bool = False) -> KDivisor:
         """sum a_s B[s], or with ``K`` the class K_n + sum a_s B[s], in one
         pass over the B-keys."""
@@ -211,7 +203,7 @@ def pullback_beta(H: KDivisor, i: int) -> Fraction:
     n = H.n
     if not 1 <= i <= n:
         raise ValueError(f"label {i} out of range 1..{n}")
-    deg = H.l_coefficient(i)
+    deg = H.l_coeffs.get(i, Fraction(0))
     deg -= H.b_coefficient(Subset((1 << n) - 1, n))
     if n >= 3:
         # {i}^c only exists as a key for n >= 3
@@ -231,48 +223,32 @@ class ChsVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ChsDecision:
-    """Certificate of the two-pullback ampleness test: the curve-side scan
-    outcome plus every line-section degree."""
+    """Certificate of the two-pullback anti-ampleness test: the curve-side
+    scan outcome plus every line-section degree."""
 
-    sense: Literal["ample", "anti-ample"]
     verdict: ChsVerdict
     alpha: AmpDecision
     beta: tuple[tuple[int, Fraction], ...]
     beta_violations: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sense": self.sense,
-            "verdict": self.verdict.value,
-            "alpha": self.alpha.to_json_dict(),
-            "beta_degrees": {str(i): str(d) for i, d in self.beta},
-            "beta_violations": list(self.beta_violations),
-        }
 
+def chs_ample(H: KDivisor) -> ChsDecision:
+    """Decide anti-ampleness of H through the two pullbacks.
 
-def chs_ample(H: KDivisor, sense: Literal["ample", "anti-ample"] = "ample") -> ChsDecision:
-    """Decide (anti-)ampleness through the two pullbacks.
-
-    The anti-ample test checks negativity directly rather than negating the
-    divisor; the two routes agree by linearity of both pullbacks (asserted
-    in the test suite), and the direct one keeps the certificate in terms of
-    the divisor actually supplied. A passing curve-side scan upgrades to a
-    real verdict only within the range where F-positivity is decisive
-    (n + 1 <= 7 markings); beyond that the verdict is UNDECIDED. Failures
-    are decisive for every n since the scanned inequalities are necessary.
+    The test checks negativity of H itself, never ampleness of -H, so the
+    certificate names the divisor actually supplied. A passing curve-side
+    scan upgrades to a real verdict only within the range where F-positivity
+    is decisive (n + 1 <= 7 markings); beyond that the verdict is UNDECIDED.
+    Failures are decisive for every n since the scanned inequalities are
+    necessary.
     """
-    if sense not in ("ample", "anti-ample"):
-        raise ValueError(f"unknown sense {sense!r}")
-    alpha = f_positivity(pullback_alpha(H), "positive" if sense == "ample" else "negative")
+    alpha = f_positivity(pullback_alpha(H), "negative")
     degrees = beta_degrees(H)
-    if sense == "ample":
-        bad = tuple(i for i, d in degrees if not d > 0)
-    else:
-        bad = tuple(i for i, d in degrees if not d < 0)
+    bad = tuple(i for i, d in degrees if not d < 0)
     if alpha.verdict is Verdict.NOT_POSITIVE or bad:
         verdict = ChsVerdict.FAILS
     elif alpha.verdict is Verdict.POSITIVE:
         verdict = ChsVerdict.HOLDS
     else:
         verdict = ChsVerdict.UNDECIDED
-    return ChsDecision(sense, verdict, alpha, degrees, bad)
+    return ChsDecision(verdict, alpha, degrees, bad)

@@ -477,7 +477,7 @@ def verify_witness(
         raise ValueError(f"witness verification needs n >= 3, got {n}")
     combo = _as_combo(n, combo)
     H = combo.to_divisor(K=True)
-    decision = chs_ample(H, "anti-ample")
+    decision = chs_ample(H)
 
     A = pullback_alpha(H)
     values = (f_curve_value(A, P) for P in enumerate_four_partitions(n + 1))

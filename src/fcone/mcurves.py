@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping
 
 from .combinat import FourPartition, Subset, canonical_key, enumerate_four_partitions
 from .rationals import Linear, as_rational, json_coeffs, sum_by_key
@@ -94,9 +94,6 @@ class MDivisor(Linear):
             if S.size >= 2:
                 table[full ^ S.mask] = num
         return den, table
-
-    def relabel(self, sigma: Sequence[int]) -> "MDivisor":
-        return MDivisor(self.m, {S.relabel(sigma): q for S, q in self.coeffs.items()})
 
     def to_json_dict(self) -> dict:
         """Wire format: {"m":…, "psi":{"i": q}, "delta":{"a,b,c": q}}.

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from combinat_reference import relabel_divisor, relabel_partition, shape_of
 from oracle_lp import (
     as_triples,
     brute_force_strict_feasible,
@@ -15,12 +16,7 @@ from oracle_lp import (
 )
 
 from fcone.cli import EXIT_OK, main
-from fcone.combinat import (
-    Subset,
-    canonical_key,
-    enumerate_four_partitions,
-    shape_of,
-)
+from fcone.combinat import Subset, canonical_key, enumerate_four_partitions
 from fcone.kmaps import (
     BoundaryCombo,
     boundary_keys,
@@ -191,7 +187,7 @@ def test_criterion_6_property_battery():
             sigma = list(range(1, m + 1))
             rng.shuffle(sigma)
             P = partitions[rng.randrange(len(partitions))]
-            assert f_curve_value(H.relabel(sigma), P.relabel(sigma)) == f_curve_value(H, P)
+            assert f_curve_value(relabel_divisor(H, sigma), relabel_partition(P, sigma)) == f_curve_value(H, P)
 
     # linearity of the intersection form and of both pullbacks
     partitions6 = list(enumerate_four_partitions(6))

@@ -30,10 +30,11 @@ def run(capsys, *argv):
 class TestParsers:
     def test_combo_spec(self):
         combo = parse_combo_spec("a4=1,a2=1/4", 5)
-        assert combo.get(4) == 1 and combo.get(2).denominator == 4
+        levels = dict(combo.a)
+        assert levels[4] == 1 and levels[2].denominator == 4
 
     def test_combo_spec_without_prefix(self):
-        assert parse_combo_spec("4=1", 4).get(4) == 1
+        assert dict(parse_combo_spec("4=1", 4).a)[4] == 1
 
     def test_bounds_spec(self):
         bounds = parse_bounds_spec("a4>=0,a6<=1")

@@ -111,7 +111,7 @@ def test_kdivisor_arithmetic_matches_reference(case):
         l_ref, b_ref = weighted_sum(l_terms), weighted_sum(b_terms)
         assert H.n == n
         for i in range(1, n + 1):
-            assert H.l_coefficient(i) == l_ref.get(i, 0)
+            assert H.l_coeffs.get(i, 0) == l_ref.get(i, 0)
         for mask in range(1, 1 << n):
             if mask.bit_count() >= 2:
                 # B_S and B_{S^c} stay apart on this side

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcone.combinat import Subset, enumerate_four_partitions, shape_of
+from combinat_reference import shape_of
+
+from fcone.combinat import Subset, enumerate_four_partitions
 from fcone.kmaps import (
     MAX_KEY_LABELS,
     BoundaryCombo,
@@ -61,8 +63,7 @@ class TestBuilders:
 
     def test_combo_accessors(self):
         combo = BoundaryCombo.of(5, {2: "1/4", 4: "1/4", 5: 1})
-        assert combo.get(2) == Fraction(1, 4)
-        assert combo.get(3) == 0
+        assert dict(combo.a) == {2: Fraction(1, 4), 4: Fraction(1, 4), 5: 1}
         assert str(combo) == "a2=1/4,a4=1/4,a5=1"
 
     def test_mixed_n_refused_by_the_shared_combine(self):
@@ -84,7 +85,8 @@ class TestToDivisorWithK:
             H = combo.to_divisor(K=True)
             assert H == canonical_class(n) + combo.to_divisor()
             assert H.l_coeffs == {i: -2 for i in range(1, n + 1)}
-            expected = {S: S.size - 2 + combo.get(S.size) for S in boundary_keys(n)}
+            levels = dict(combo.a)
+            expected = {S: S.size - 2 + levels.get(S.size, 0) for S in boundary_keys(n)}
             assert H.b_coeffs == {S: q for S, q in expected.items() if q}
         assert BoundaryCombo.of(n, combos[1]).to_divisor(K=True).b_coeffs == {}
 
@@ -92,7 +94,7 @@ class TestToDivisorWithK:
 class TestCanonicalClass:
     def test_n4(self):
         K = canonical_class(4)
-        assert all(K.l_coefficient(i) == -2 for i in range(1, 5))
+        assert K.l_coeffs == {i: -2 for i in range(1, 5)}
         for labels in itertools.combinations(range(1, 5), 3):
             assert K.b_coefficient(labels) == 1
         assert K.b_coefficient([1, 2, 3, 4]) == 2
@@ -202,7 +204,7 @@ class TestShapeConstancy:
 class TestChsAmple:
     def test_first_lemma_verified(self):
         H = BoundaryCombo.of(4, {4: 1}).to_divisor(K=True)
-        decision = chs_ample(H, "anti-ample")
+        decision = chs_ample(H)
         assert decision.verdict is ChsVerdict.HOLDS
         assert decision.alpha.verdict is Verdict.POSITIVE
         assert dict(decision.beta) == {i: Fraction(-6) for i in range(1, 5)}
@@ -210,23 +212,14 @@ class TestChsAmple:
 
     def test_second_lemma_verified(self):
         D = BoundaryCombo.of(5, {2: "1/4", 4: "1/4", 5: 1}).to_divisor()
-        decision = chs_ample(canonical_class(5) + D, "anti-ample")
+        decision = chs_ample(canonical_class(5) + D)
         assert decision.verdict is ChsVerdict.HOLDS
 
     def test_canonical_alone_refuted_on_the_curve_side(self):
-        decision = chs_ample(canonical_class(4), "anti-ample")
+        decision = chs_ample(canonical_class(4))
         assert decision.verdict is ChsVerdict.FAILS
         assert decision.beta_violations == ()  # degrees are -5 < 0, fine
         assert decision.alpha.witness_value == 0
-
-    def test_negation_agreement(self):
-        H = BoundaryCombo.of(4, {4: 1, 2: "1/3"}).to_divisor(K=True)
-        anti = chs_ample(H, "anti-ample")
-        amp = chs_ample(-1 * H, "ample")
-        assert anti.verdict == amp.verdict
-        assert anti.alpha.witness == amp.alpha.witness
-        assert anti.beta_violations == amp.beta_violations
-        assert {i: -d for i, d in anti.beta} == dict(amp.beta)
 
     def test_undecided_beyond_known_range(self):
         # built from an unconstrained solve: every F-value is negative but
@@ -240,13 +233,9 @@ class TestChsAmple:
             7: Fraction(-31, 6),
         }
         H = canonical_class(7) + BoundaryCombo.of(7, combo).to_divisor()
-        decision = chs_ample(H, "anti-ample")
+        decision = chs_ample(H)
         assert decision.verdict is ChsVerdict.UNDECIDED
         assert decision.alpha.verdict is Verdict.POSITIVE_BUT_UNDECIDED
-
-    def test_unknown_sense_rejected(self):
-        with pytest.raises(ValueError):
-            chs_ample(canonical_class(4), "nef")
 
 
 class TestJson:

@@ -2,12 +2,16 @@
 each script."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import fcone
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "fcone"
@@ -64,6 +68,18 @@ def test_no_hand_rolled_fraction_merges():
             and (_is_get_with_fraction_zero(node.left) or _is_get_with_fraction_zero(node.right))
         ]
     assert not found, f"hand-rolled Fraction merges in the package: {found}"
+
+
+MODULES = ["fcone"] + sorted(f"fcone.{m.name}" for m in pkgutil.iter_modules(fcone.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    # a name deleted from a module but left in an ``__all__`` still imports
+    # cleanly; only ``from fcone import *`` or a lookup would notice
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
 @pytest.mark.parametrize(
