@@ -21,6 +21,9 @@ __all__ = [
     "enumerate_shapes",
 ]
 
+# largest n whose 2^n - n - 1 B-keys are listed (about 1.05M at n = 20)
+MAX_KEY_LABELS = 20
+
 # decimal text of the labels below 64, so printing a block formats no int
 _LABEL_TEXT = tuple(map(str, range(64)))
 
@@ -116,7 +119,7 @@ def canonical_key(S: Subset) -> Subset:
     return S.complement()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FourPartition:
     """An unordered partition of {1, ..., m} into four nonempty blocks.
 

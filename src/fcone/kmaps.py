@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .combinat import Subset
+from .combinat import MAX_KEY_LABELS, Subset
 from .mcurves import AmpDecision, MDivisor, Verdict, f_positivity
 from .rationals import Linear, RationalLike, as_rational, json_coeffs, sum_by_key
 
@@ -49,10 +49,6 @@ __all__ = [
     "beta_degrees",
     "chs_ample",
 ]
-
-
-# largest n whose 2^n - n - 1 B-keys are listed (about 1.05M at n = 20)
-MAX_KEY_LABELS = 20
 
 
 def _check_key_labels(n: int) -> None:

@@ -472,7 +472,11 @@ def verify_witness(
     n: int, combo: BoundaryCombo | Mapping[int, RationalLike]
 ) -> WitnessReport:
     """Check a candidate boundary by scanning every F-curve (never the
-    reduced system) and every line-section degree."""
+    reduced system) and every line-section degree.
+
+    It scans twice, ``chs_ample`` and then a full scan for ``f_min``/``f_max``:
+    one pass could give both, but the benchmark's self-test pins the calls of
+    two scans. The second compares integer cross-products, not Fractions."""
     if n < 3:
         raise ValueError(f"witness verification needs n >= 3, got {n}")
     combo = _as_combo(n, combo)
@@ -482,11 +486,13 @@ def verify_witness(
     A = pullback_alpha(H)
     values = (f_curve_value(A, P) for P in enumerate_four_partitions(n + 1))
     f_min = f_max = next(values)
+    lo, lo_den = hi, hi_den = f_min.numerator, f_min.denominator
     for v in values:
-        if v < f_min:
-            f_min = v
-        elif v > f_max:
-            f_max = v
+        p, q = v.numerator, v.denominator
+        if p * lo_den < lo * q:
+            f_min, lo, lo_den = v, p, q
+        elif p * hi_den > hi * q:
+            f_max, hi, hi_den = v, p, q
 
     degs = {d for _, d in decision.beta}
     if len(degs) != 1:

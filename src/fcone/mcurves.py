@@ -28,9 +28,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Literal, Mapping
+from typing import Callable, Iterable, Literal, Mapping
 
-from .combinat import FourPartition, Subset, canonical_key, enumerate_four_partitions
+from .combinat import MAX_KEY_LABELS, FourPartition, Subset, canonical_key
+from .combinat import enumerate_four_partitions
 from .rationals import Linear, as_rational, json_coeffs, sum_by_key
 
 __all__ = [
@@ -81,10 +82,10 @@ class MDivisor(Linear):
         return sorted(self.coeffs, key=Subset.sort_key)
 
     @cached_property
-    def _mask_table(self) -> tuple[int, dict[int, int]]:
-        """(den, {mask: numerator}) with coefficient(S) == numerator / den for
-        every mask of a singleton key and of either side of a boundary key;
-        other masks have coefficient 0. Built on first use by the F-kernel."""
+    def _mask_table(self) -> tuple[int, Callable[[int, int], int]]:
+        """(den, get) with get(mask, 0) / den == coefficient(S) for every
+        mask of a singleton key and of either side of a boundary key; other
+        masks read 0. Built on first use by the F-kernel."""
         den = math.lcm(*(q.denominator for q in self.coeffs.values()))
         full = (1 << self.m) - 1
         table: dict[int, int] = {}
@@ -93,7 +94,7 @@ class MDivisor(Linear):
             table[S.mask] = num
             if S.size >= 2:
                 table[full ^ S.mask] = num
-        return den, table
+        return den, table.get
 
     def to_json_dict(self) -> dict:
         """Wire format: {"m":…, "psi":{"i": q}, "delta":{"a,b,c": q}}.
@@ -114,10 +115,15 @@ class MDivisor(Linear):
     def from_json_dict(cls, data: Mapping) -> "MDivisor":
         """Entries naming the same divisor (both sides of a split, or one
         subset spelled twice) add up; fields other than these three are
-        refused."""
+        refused, and so is m > MAX_KEY_LABELS + 1 (the markings of the
+        largest pullback), before any label is read."""
         m = data.get("m")
         if type(m) is not int:
             raise ValueError("MDivisor JSON needs an integer 'm'")
+        if m > MAX_KEY_LABELS + 1:
+            raise ValueError(
+                f"m={m} exceeds {MAX_KEY_LABELS + 1}, the most markings a pullback makes"
+            )
         unknown = sorted(map(str, set(data) - {"m", "psi", "delta"}))
         if unknown:
             raise ValueError(f"MDivisor JSON has unknown fields {unknown}")
@@ -126,7 +132,7 @@ class MDivisor(Linear):
         return cls(m, sum_by_key(pairs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FValue:
     """The intersection number of a divisor with one F-curve."""
 
@@ -136,11 +142,10 @@ class FValue:
 
 def f_curve_value(H: MDivisor, P: FourPartition) -> Fraction:
     """Intersection of H with the F-curve of partition P (exact rational)."""
-    if P.m != H.m:
-        raise ValueError(f"partition on {P.m} labels vs divisor on {H.m}")
-    den, table = H._mask_table
-    get = table.get
     I, J, K, L = P.parts
+    if I.m != H.m:
+        raise ValueError(f"partition on {I.m} labels vs divisor on {H.m}")
+    den, get = H._mask_table
     i, j, k, l = I.mask, J.mask, K.mask, L.mask
     total = (
         get(i | j, 0) + get(i | k, 0) + get(i | l, 0)
@@ -187,8 +192,9 @@ class AmpDecision:
         return out
 
 
-# the strict inequality each sense asks of every F-value
-_SATISFIES = {"positive": lambda v: v > 0, "negative": lambda v: v < 0}
+# the sign each sense asks of every F-value; a Fraction's denominator is
+# positive, so the value has the sign of its numerator
+_SIGN = {"positive": 1, "negative": -1}
 
 
 def f_positivity(
@@ -201,13 +207,13 @@ def f_positivity(
     """
     if H.m < 4:
         raise ValueError(f"no F-curves on m={H.m} < 4 markings")
-    ok = _SATISFIES.get(sense)
-    if ok is None:
+    sign = _SIGN.get(sense)
+    if sign is None:
         raise ValueError(f"unknown sense {sense!r}")
     hits: list[FValue] = []
     for P in enumerate_four_partitions(H.m):
         v = f_curve_value(H, P)
-        if not ok(v):
+        if v.numerator * sign <= 0:
             hits.append(FValue(P, v))
             if not all_witnesses:
                 break

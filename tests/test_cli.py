@@ -587,6 +587,16 @@ class TestUsageErrors:
                 assert code == EXIT_USAGE and out == ""
                 assert f"2^{n} - {n} - 1 B-keys" in err
 
+    def test_huge_m_refused_before_listing_partitions(self, tmp_path, capsys):
+        # a pullback makes at most MAX_KEY_LABELS + 1 = 21 markings; m = 10^9
+        # used to end in a MemoryError while the scan built its minima pool
+        path = tmp_path / "m.json"
+        for m in ("22", "1000000", "1000000000"):
+            path.write_text(f'{{"m": {m}, "psi": {{"1": "1"}}}}')
+            code, out, err = run(capsys, "fcurves", "--divisor", str(path))
+            assert code == EXIT_USAGE and out == ""
+            assert f"bad divisor file: m={m} exceeds 21" in err
+
     @pytest.mark.parametrize(
         "K, message",
         [(("--K",), "2^25 - 25 - 1 B-keys"), ((), "B[30] does not exist on n=25")],

@@ -4,12 +4,18 @@ rewritten. A change to any printed byte, or to an exit code, fails here.
 
 The divisor file for ``fcurves`` is written by this test from a closed-form
 rule, not by the package, and is passed by a relative path because the
-``--json`` report echoes the path as given.
+``--json`` report echoes the path as given. The same cases also run once
+under ``python -O``, where any self-check written as an ``assert`` would
+vanish.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +102,30 @@ def test_cli_output_is_byte_identical(case, workdir, capsys):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert _digest(argv, code, out) == GOLDEN[case]
+
+
+# runs every case in one interpreter and prints {case: [exit, stdout]}
+_RUN_CASES = """
+import contextlib, io, json, sys
+from fcone.cli import main
+results = {"optimize": sys.flags.optimize}
+for case, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        results[case] = [main(list(argv)), out.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_cli_output_is_byte_identical_under_optimize(workdir):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _RUN_CASES, json.dumps(CASES)],
+        capture_output=True, text=True, env=env, cwd=workdir, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results.pop("optimize") == 1
+    assert {case: _digest(CASES[case], *results[case]) for case in CASES} == GOLDEN

@@ -12,7 +12,8 @@ from oracle_lp import (
     check_infeasibility_certificate,
 )
 
-from fcone.kmaps import BoundaryCombo
+from fcone.combinat import enumerate_four_partitions
+from fcone.kmaps import BoundaryCombo, pullback_alpha
 from fcone.logfano import (
     Bounds,
     FeasibilityResult,
@@ -23,6 +24,7 @@ from fcone.logfano import (
     solve_feasibility,
     verify_witness,
 )
+from fcone.mcurves import f_curve_value
 
 # the three binding constraints of the six-marked-point obstruction
 FORM_I = LinearForm.of(-1, {2: 3, 3: -1})
@@ -276,6 +278,39 @@ class TestVerifyWitness:
         assert verify_witness(4, combo).verdict is WitnessVerdict.VERIFIED
         with pytest.raises(ValueError):
             verify_witness(5, combo)
+
+    def test_extremes_match_fraction_min_max(self):
+        # mixed denominators and negative coefficients, on 5..8 markings
+        rng = random.Random(14)
+        for n in (4, 5, 6, 7):
+            for _ in range(6):
+                combo = BoundaryCombo.of(n, {
+                    s: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 6)))
+                    for s in rng.sample(range(2, n + 1), rng.randint(0, n - 1))
+                })
+                A = pullback_alpha(combo.to_divisor(K=True))
+                values = [f_curve_value(A, P) for P in enumerate_four_partitions(n + 1)]
+                report = verify_witness(n, combo)
+                assert (report.f_min, report.f_max) == (min(values), max(values))
+
+    def test_scans_compare_no_fractions_per_partition(self, monkeypatch):
+        # both scans at n = 9 run to the end (S(10, 4) = 34105 partitions
+        # each); what is left are the few comparisons outside the scans
+        compared = 0
+        for name in ("__lt__", "__gt__"):
+            original = getattr(Fraction, name)
+
+            def counted(a, b, original=original):
+                nonlocal compared
+                compared += 1
+                return original(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        combo = {2: -1, 3: -1, 4: 0, 5: 2, 6: 6, 7: 10, 8: 17, 9: 24}
+        report = verify_witness(9, combo)
+        assert "outside [0,1]" in report.reason  # every F-curve inequality held
+        assert (report.f_min, report.f_max) == (-4, -1)
+        assert compared < 20
 
     def test_json_payload(self):
         data = verify_witness(4, {4: 1}).to_json_dict()

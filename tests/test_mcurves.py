@@ -2,6 +2,8 @@
 the positivity scan."""
 
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -232,9 +234,10 @@ class TestFPositivity:
         assert shape_of(decision.witness, 5).sizes == (1, 1, 1, 2)
 
     def test_zero_divisor_never_strictly_positive(self):
-        decision = f_positivity(MDivisor(5, {}), "positive")
-        assert decision.verdict is Verdict.NOT_POSITIVE
-        assert decision.witness_value == 0
+        for sense in ("positive", "negative"):
+            decision = f_positivity(MDivisor(5, {}), sense)
+            assert decision.verdict is Verdict.NOT_POSITIVE
+            assert decision.witness_value == 0
 
     def test_all_witnesses_listed_in_order(self):
         H = pullback_alpha(canonical_class(4))
@@ -284,3 +287,59 @@ class TestFPositivity:
     def test_too_few_markings_rejected(self):
         with pytest.raises(ValueError):
             f_positivity(MDivisor(3, {(1,): -1}), "positive")
+
+
+def reference_violations(H, sense, all_witnesses):
+    """The scan written with plain ``Fraction`` comparisons against 0."""
+    hits = []
+    for P in enumerate_four_partitions(H.m):
+        v = reference_f_value(H, P)
+        if not (v > 0 if sense == "positive" else v < 0):
+            hits.append((P, v))
+            if not all_witnesses:
+                break
+    return hits
+
+
+def small_mdivisor(rng, m):
+    """Coefficients in -2..2 over denominators 1, 2, 3, 4, 6 on a few keys,
+    so that F-values of 0 and of either sign are common."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 8)):
+        S = Subset(rng.randint(1, (1 << m) - 2), m)
+        coeffs[S] = coeffs.get(S, 0) + Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 4, 6)))
+    return MDivisor(m, coeffs)
+
+
+class TestSignTestExactness:
+    def test_matches_fraction_comparison_reference(self):
+        rng = random.Random(14)
+        values = set()
+        for m in (5, 6, 7, 8):
+            for _ in range(12):
+                H = small_mdivisor(rng, m)
+                values.update(reference_f_value(H, P) for P in enumerate_four_partitions(m))
+                for sense, all_witnesses in itertools.product(("positive", "negative"), (False, True)):
+                    decision = f_positivity(H, sense, all_witnesses=all_witnesses)
+                    hits = reference_violations(H, sense, all_witnesses)
+                    assert (decision.verdict is Verdict.NOT_POSITIVE) == bool(hits)
+                    if hits:
+                        assert (decision.witness, decision.witness_value) == hits[0]
+                    got = [(v.partition, v.value) for v in decision.violations]
+                    assert got == (hits if all_witnesses else [])
+        # the sample reaches zero, both signs and a non-integer value
+        assert 0 in values and min(values) < 0 < max(values)
+        assert any(v.denominator > 1 for v in values)
+
+    def test_all_witness_scan_peak_memory(self):
+        # one slotted FValue and FourPartition per violation: 7.4 MiB, against
+        # 10.0 MiB when both carried an instance dict
+        H = MDivisor(10, {})
+        tracemalloc.start()
+        try:
+            decision = f_positivity(H, "negative", all_witnesses=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(decision.violations) == 34105  # S(10, 4)
+        assert peak / 2**20 < 8.5
