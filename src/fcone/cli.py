@@ -124,7 +124,9 @@ def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bad UTF-8 and the int digit limit;
+    # RecursionError, nesting too deep for the decoder
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read JSON file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"JSON file {path} must hold an object")
@@ -297,7 +299,7 @@ def cmd_lemmas(args) -> int:
         if not isinstance(bounds, dict):
             raise TypeError(f"'bounds' must be a JSON object, got {bounds!r}")
         bounds6 = Bounds.of(*(dict(json_coeffs(bounds, side)) for side in ("lower", "upper")))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot load expectations from {path}: {exc}") from exc
 
     mismatches: list[str] = []

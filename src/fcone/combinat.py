@@ -123,32 +123,11 @@ def canonical_key(S: Subset) -> Subset:
 class FourPartition:
     """An unordered partition of {1, ..., m} into four nonempty blocks.
 
-    Stored canonically with blocks ordered by their minimum element; the
-    constructor reorders, so any block order may be passed in.
+    Its blocks come in order of their lowest label, as
+    ``enumerate_four_partitions`` builds them; the constructor checks nothing.
     """
 
     parts: tuple[Subset, Subset, Subset, Subset]
-
-    def __post_init__(self) -> None:
-        parts = self.parts
-        if len(parts) != 4:
-            raise ValueError("a partition has exactly 4 blocks")
-        A, B, C, D = parts
-        m = A.m
-        if not B.m == C.m == D.m == m:
-            raise ValueError("blocks live in different ambient sets")
-        a, b, c, d = A.mask, B.mask, C.mask, D.mask
-        if not (a and b and c and d):
-            raise ValueError("blocks must be nonempty")
-        if a & b or (a | b) & c or (a | b | c) & d:
-            raise ValueError("blocks must be pairwise disjoint")
-        if a | b | c | d != (1 << m) - 1:
-            raise ValueError("blocks must cover {1,...,m}")
-        # disjoint blocks have distinct lowest bits, which order them by minimum
-        if type(parts) is not tuple or not a & -a < b & -b < c & -c < d & -d:
-            object.__setattr__(
-                self, "parts", tuple(sorted(parts, key=lambda p: p.mask & -p.mask))
-            )
 
     @property
     def m(self) -> int:
@@ -164,18 +143,12 @@ class FourPartition:
 @dataclass(frozen=True)
 class PartitionShape:
     """Orbit label of a four-block partition under the permutations fixing a
-    special label: the size multiset and the size of the block holding it."""
+    special label: the size multiset, ascending, and the size of the block
+    holding it. Only ``enumerate_shapes`` builds one; the constructor checks
+    nothing."""
 
     sizes: tuple[int, int, int, int]
     special_part_size: int
-
-    def __post_init__(self) -> None:
-        if len(self.sizes) != 4 or any(s < 1 for s in self.sizes):
-            raise ValueError(f"invalid size multiset {self.sizes}")
-        if tuple(sorted(self.sizes)) != self.sizes:
-            raise ValueError("sizes must be sorted ascending")
-        if self.special_part_size not in self.sizes:
-            raise ValueError("special part size must be one of the sizes")
 
     def __str__(self) -> str:
         return "+".join(map(str, self.sizes)) + f"(special in {self.special_part_size})"

@@ -4,7 +4,7 @@ scan order. They are references for ``enumerate_shapes`` and
 ``enumerate_four_partitions``, written independently of both walks.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from fcone.combinat import FourPartition, PartitionShape, Subset
 from fcone.mcurves import MDivisor
@@ -17,8 +17,14 @@ def relabel_subset(S: Subset, sigma: Sequence[int]) -> Subset:
     return Subset.from_labels((sigma[lab - 1] for lab in S.labels), S.m)
 
 
+def partition_of(blocks: Iterable[Subset]) -> FourPartition:
+    """The partition with these four blocks, put in order of their lowest
+    label as ``enumerate_four_partitions`` yields them."""
+    return FourPartition(tuple(sorted(blocks, key=lambda p: p.mask & -p.mask)))
+
+
 def relabel_partition(P: FourPartition, sigma: Sequence[int]) -> FourPartition:
-    return FourPartition(tuple(relabel_subset(p, sigma) for p in P.parts))
+    return partition_of(relabel_subset(p, sigma) for p in P.parts)
 
 
 def relabel_divisor(H: MDivisor, sigma: Sequence[int]) -> MDivisor:
@@ -41,7 +47,7 @@ def parse_partition(text: str, m: int) -> FourPartition:
         if not (tok.startswith("{") and tok.endswith("}")):
             raise ValueError(f"malformed block {tok!r}")
         blocks.append(Subset.parse(tok[1:-1], m))
-    return FourPartition(tuple(blocks))
+    return partition_of(blocks)
 
 
 def scan_order_key(P: FourPartition) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

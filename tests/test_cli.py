@@ -246,6 +246,28 @@ class TestDivisorFileBoundary:
         assert code == EXIT_USAGE and out == "" and "repeated" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000, b"\xff\xfe{", b'{"m": ' + b"9" * 5000 + b"}"],
+    ids=["nested", "not-utf8", "digit-limit"],
+)
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("fcurves", "--divisor"), "cannot read JSON file"),
+        (("pullback", "alpha", "--divisor"), "cannot read JSON file"),
+        (("lemmas", "--expectations"), "cannot load expectations from"),
+    ],
+    ids=["fcurves", "pullback", "lemmas"],
+)
+def test_unreadable_json_file_exit_three(tmp_path, capsys, content, argv, prefix):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_USAGE and out == "" and "Traceback" not in err
+    assert err.startswith(f"fcone: error: {prefix} {path}: ")
+
+
 def assert_exit_contract(argv):
     """Run argv in-process: an exit code 0..3, never a traceback, and a usage
     error prints nothing on stdout and one ``fcone: error:`` line."""

@@ -7,10 +7,15 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
-from combinat_reference import parse_partition, relabel_partition, scan_order_key, shape_of
+from combinat_reference import (
+    parse_partition,
+    partition_of,
+    relabel_partition,
+    scan_order_key,
+    shape_of,
+)
 
 from fcone.combinat import (
-    FourPartition,
     PartitionShape,
     Subset,
     canonical_key,
@@ -39,7 +44,7 @@ def brute_force_in_scan_order(m):
             masks[block] |= 1 << bit
         if all(masks):
             found.add(frozenset(masks))
-    partitions = (FourPartition(tuple(Subset(mask, m) for mask in masks)) for masks in found)
+    partitions = (partition_of(Subset(mask, m) for mask in masks) for masks in found)
     return sorted(partitions, key=scan_order_key)
 
 
@@ -113,29 +118,6 @@ class TestFourPartition:
         P = parse_partition("{4,5}|{2}|{1}|{3}", 5)
         assert str(P) == "{1}|{2}|{3}|{4,5}"
         assert parse_partition("{4,5}|{3}|{2}|{1}", 5) == P
-
-    def test_invalid_partitions_rejected(self):
-        with pytest.raises(ValueError):
-            parse_partition("{1}|{1}|{2}|{3}", 3)
-        with pytest.raises(ValueError):
-            parse_partition("{1}|{2}|{3}|{4}", 5)  # misses 5
-        with pytest.raises(ValueError):
-            parse_partition("{1}|{2}|{3,4}|{4}", 4)
-
-    def test_each_block_check_rejects(self):
-        one, two, three = (Subset.from_labels([x], 4) for x in (1, 2, 3))
-        four = Subset.from_labels([4], 4)
-        with pytest.raises(ValueError, match="ambient"):
-            FourPartition((one, two, three, Subset.from_labels([4], 5)))
-        with pytest.raises(ValueError, match="disjoint"):
-            FourPartition((one, two, Subset.from_labels([2, 3], 4), four))
-        with pytest.raises(ValueError, match="cover"):
-            FourPartition(tuple(Subset.from_labels([x], 5) for x in (1, 2, 3, 4)))
-
-    def test_any_block_sequence_stored_as_sorted_tuple(self):
-        blocks = [Subset.from_labels([x], 4) for x in (1, 2, 3, 4)]
-        P = FourPartition(blocks)
-        assert P.parts == tuple(blocks) and hash(P) == hash(FourPartition(tuple(blocks)))
 
 
 class TestEnumeration:

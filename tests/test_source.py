@@ -70,6 +70,32 @@ def test_no_hand_rolled_fraction_merges():
     assert not found, f"hand-rolled Fraction merges in the package: {found}"
 
 
+def _calls_outside(tree: ast.AST, builders: dict[str, str], enclosing: tuple[str, ...] = ()):
+    """(line, class) of each call to a class in ``builders`` that no function
+    named ``builders[class]`` encloses."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in builders and builders[name] not in enclosing:
+                yield node.lineno, name
+        inner = enclosing
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = enclosing + (node.name,)
+        yield from _calls_outside(node, builders, inner)
+
+
+def test_partition_records_built_only_by_their_enumerators():
+    # FourPartition and PartitionShape check nothing on construction: their
+    # enumerators build them valid, and the enumeration tests check that
+    builders = {"FourPartition": "enumerate_four_partitions", "PartitionShape": "enumerate_shapes"}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _calls_outside(tree, builders)]
+    assert not found, f"partition records built outside their enumerators: {found}"
+
+
 MODULES = ["fcone"] + sorted(f"fcone.{m.name}" for m in pkgutil.iter_modules(fcone.__path__))
 
 
