@@ -120,12 +120,27 @@ def _emit(args, command: str, inputs: dict, code: int, result, text) -> int:
     return code
 
 
+# the most bytes a JSON input file may hold (128 MiB): listing every key of
+# K_20 or of its pullback to 21 markings, the largest classes a command
+# takes, writes about 35-38 MiB
+MAX_JSON_BYTES = 1 << 27
+
+
+def _read_json(path: str):
+    """Decode the UTF-8 JSON file at ``path``, reading at most one byte past
+    ``MAX_JSON_BYTES`` and refusing the file if that byte is there."""
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_JSON_BYTES + 1)
+    if len(raw) > MAX_JSON_BYTES:
+        raise ValueError(f"file exceeds {MAX_JSON_BYTES} bytes")
+    return json.loads(raw.decode("utf-8"))
+
+
 def _load_json_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    # ValueError covers bad JSON, bad UTF-8 and the int digit limit;
-    # RecursionError, nesting too deep for the decoder
+        data = _read_json(path)
+    # ValueError covers bad JSON, bad UTF-8, the int digit limit and the
+    # byte cap; RecursionError, nesting too deep for the decoder
     except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read JSON file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -285,8 +300,7 @@ def _spec_n(spec: dict) -> int:
 def cmd_lemmas(args) -> int:
     path = args.expectations or _default_expectations()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            expected = json.load(fh)
+        expected = _read_json(path)
         fields = ("verdict", "f_min", "f_max", "beta_degree")
         witnesses = []
         for key in ("log_fano_witness_4", "log_fano_witness_5"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Subset",
@@ -154,52 +154,66 @@ class PartitionShape:
         return "+".join(map(str, self.sizes)) + f"(special in {self.special_part_size})"
 
 
-def _preorder(free: int, mask: int = 0) -> Iterator[int]:
-    """``mask`` joined with each subset of the bits of ``free``, in
-    lexicographic order of the subsets' label tuples, each prefix before its
-    extensions: (), (x1,), (x1, x2), ..., (x2,), ... for x1 < x2 < ..."""
-    yield mask
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make: Callable[[int], object]) -> None:
+        self.make = make
+
+    def __missing__(self, key: int):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _preorder(free: int) -> list[int]:
+    """Each subset of the bits of ``free``, in lexicographic order of the
+    subsets' label tuples, each prefix before its extensions: (), (x1,),
+    (x1, x2), ..., (x2,), ... for x1 < x2 < ..."""
+    out = [0]
     while free:
-        low = free & -free
-        free ^= low
-        yield from _preorder(free, mask | low)
+        # the subsets holding the highest bit left go right after ()
+        high = 1 << free.bit_length() - 1
+        free ^= high
+        out[1:1] = [high | s for s in out]
+    return out
 
 
 def enumerate_four_partitions(m: int) -> Iterator[FourPartition]:
     """All partitions of {1, ..., m} into four nonempty blocks, each exactly
     once, ordered lexicographically by part minima (ties by label tuples).
 
-    Streams in O(m) memory: no list of partitions is built. For each minima
-    tuple (1, b, c, d), each block in turn takes the free labels below the
-    next minimum, which no later block may hold, plus a subset of the larger
-    ones in label-tuple order. Blocks are built once per mask and shared
-    between the partitions that contain them (at most 2^m per call).
+    Lazy: no list of partitions is built. For each minima tuple (1, b, c, d),
+    each block in turn takes the free labels below the next minimum, which no
+    later block may hold, plus a subset of the larger ones in label-tuple
+    order. Those subsets are listed once per distinct mask of larger labels
+    (labels 3..m) and kept for the call, at most 3^(m-2) ints in all (28,387
+    at m = 12); each list is walked as soon as it is built, so the memo grows
+    with the walk, and the first partition costs one list of 2^(m-4). Blocks
+    are built once per mask and shared between the partitions that contain
+    them (at most 2^m per call).
     """
     if m < 4:
         raise ValueError(f"no four-block partitions of {m} < 4 labels")
-    blocks: dict[int, Subset] = {}
-
-    def block(mask: int) -> Subset:
-        S = blocks.get(mask)
-        if S is None:
-            S = blocks[mask] = Subset(mask, m)
-        return S
-
+    blocks = _Memo(lambda mask: Subset(mask, m))
+    walks = _Memo(_preorder)
     full = (1 << m) - 1
     for b, c, d in combinations(range(2, m + 1), 3):
         # label x is bit 1 << (x - 1); below_x masks the labels 1..x-1
         below_b, below_c, below_d = (1 << b - 1) - 1, (1 << c - 1) - 1, (1 << d - 1) - 1
         free = full ^ (1 | 1 << b - 1 | 1 << c - 1 | 1 << d - 1)
-        for x in _preorder(free & ~below_b):
+        for x in walks[free & ~below_b]:
             p1 = free & below_b | x | 1
             rest = free & ~p1
-            for y in _preorder(rest & ~below_c):
+            P1 = blocks[p1]
+            for y in walks[rest & ~below_c]:
                 p2 = rest & below_c | y | 1 << b - 1
                 rest2 = rest & ~p2
-                P1, P2 = block(p1), block(p2)
-                for z in _preorder(rest2 & ~below_d):
-                    p3 = rest2 & below_d | z | 1 << c - 1
-                    yield FourPartition((P1, P2, block(p3), block(full ^ p1 ^ p2 ^ p3)))
+                P2 = blocks[p2]
+                # the third block is low3 | z, the fourth what p1, p2, p3 leave
+                low3, left = rest2 & below_d | 1 << c - 1, full ^ p1 ^ p2
+                for z in walks[rest2 & ~below_d]:
+                    p3 = low3 | z
+                    yield FourPartition((P1, P2, blocks[p3], blocks[left ^ p3]))
 
 
 def enumerate_shapes(m: int, special: int) -> list[tuple[PartitionShape, FourPartition]]:

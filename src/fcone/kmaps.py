@@ -220,12 +220,14 @@ class ChsVerdict(enum.Enum):
 @dataclass(frozen=True)
 class ChsDecision:
     """Certificate of the two-pullback anti-ampleness test: the curve-side
-    scan outcome plus every line-section degree."""
+    scan outcome plus every line-section degree, and the curve-side pullback
+    that was scanned."""
 
     verdict: ChsVerdict
     alpha: AmpDecision
     beta: tuple[tuple[int, Fraction], ...]
     beta_violations: tuple[int, ...]
+    curve_class: MDivisor
 
 
 def chs_ample(H: KDivisor) -> ChsDecision:
@@ -238,7 +240,8 @@ def chs_ample(H: KDivisor) -> ChsDecision:
     Failures are decisive for every n since the scanned inequalities are
     necessary.
     """
-    alpha = f_positivity(pullback_alpha(H), "negative")
+    A = pullback_alpha(H)
+    alpha = f_positivity(A, "negative")
     degrees = beta_degrees(H)
     bad = tuple(i for i, d in degrees if not d < 0)
     if alpha.verdict is Verdict.NOT_POSITIVE or bad:
@@ -247,4 +250,4 @@ def chs_ample(H: KDivisor) -> ChsDecision:
         verdict = ChsVerdict.HOLDS
     else:
         verdict = ChsVerdict.UNDECIDED
-    return ChsDecision(verdict, alpha, degrees, bad)
+    return ChsDecision(verdict, alpha, degrees, bad, A)

@@ -33,13 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinat import enumerate_four_partitions
-from .kmaps import (
-    BoundaryCombo,
-    ChsVerdict,
-    _check_key_labels,
-    chs_ample,
-    pullback_alpha,
-)
+from .kmaps import BoundaryCombo, ChsVerdict, _check_key_labels, chs_ample
 from .mcurves import Verdict, f_curve_value
 from .rationals import RationalLike, as_rational, sum_by_key
 
@@ -476,14 +470,15 @@ def verify_witness(
 
     It scans twice, ``chs_ample`` and then a full scan for ``f_min``/``f_max``:
     one pass could give both, but the benchmark's self-test pins the calls of
-    two scans. The second compares integer cross-products, not Fractions."""
+    two scans. The second scan reads the pulled-back class ``chs_ample``
+    scanned, so it reuses that class's mask table and shared F-values, and
+    it compares integer cross-products, not Fractions."""
     if n < 3:
         raise ValueError(f"witness verification needs n >= 3, got {n}")
     combo = _as_combo(n, combo)
-    H = combo.to_divisor(K=True)
-    decision = chs_ample(H)
+    decision = chs_ample(combo.to_divisor(K=True))
 
-    A = pullback_alpha(H)
+    A = decision.curve_class
     values = (f_curve_value(A, P) for P in enumerate_four_partitions(n + 1))
     f_min = f_max = next(values)
     lo, lo_den = hi, hi_den = f_min.numerator, f_min.denominator

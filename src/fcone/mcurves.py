@@ -82,10 +82,13 @@ class MDivisor(Linear):
         return sorted(self.coeffs, key=Subset.sort_key)
 
     @cached_property
-    def _mask_table(self) -> tuple[int, Callable[[int, int], int]]:
-        """(den, get) with get(mask, 0) / den == coefficient(S) for every
-        mask of a singleton key and of either side of a boundary key; other
-        masks read 0. Built on first use by the F-kernel."""
+    def _mask_table(self) -> tuple[int, Callable[[int, int], int], dict[int, Fraction], int]:
+        """(den, get, values, cap) with get(mask, 0) / den == coefficient(S)
+        for every mask of a singleton key and of either side of a boundary
+        key; other masks read 0. ``values`` interns the F-value total / den
+        per integer total, so equal F-values share one immutable Fraction; it
+        keeps at most ``cap`` entries, the size of the mask table itself.
+        Built on first use by the F-kernel."""
         den = math.lcm(*(q.denominator for q in self.coeffs.values()))
         full = (1 << self.m) - 1
         table: dict[int, int] = {}
@@ -94,7 +97,7 @@ class MDivisor(Linear):
             table[S.mask] = num
             if S.size >= 2:
                 table[full ^ S.mask] = num
-        return den, table.get
+        return den, table.get, {}, len(table)
 
     def to_json_dict(self) -> dict:
         """Wire format: {"m":…, "psi":{"i": q}, "delta":{"a,b,c": q}}.
@@ -145,13 +148,18 @@ def f_curve_value(H: MDivisor, P: FourPartition) -> Fraction:
     I, J, K, L = P.parts
     if I.m != H.m:
         raise ValueError(f"partition on {I.m} labels vs divisor on {H.m}")
-    den, get = H._mask_table
+    den, get, values, cap = H._mask_table
     i, j, k, l = I.mask, J.mask, K.mask, L.mask
     total = (
         get(i | j, 0) + get(i | k, 0) + get(i | l, 0)
         - get(i, 0) - get(j, 0) - get(k, 0) - get(l, 0)
     )
-    return Fraction(total, den)
+    v = values.get(total)
+    if v is None:
+        v = Fraction(total, den)
+        if len(values) < cap:
+            values[total] = v
+    return v
 
 
 class Verdict(enum.Enum):

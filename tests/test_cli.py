@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -266,6 +267,32 @@ def test_unreadable_json_file_exit_three(tmp_path, capsys, content, argv, prefix
     code, out, err = run(capsys, *argv, str(path))
     assert code == EXIT_USAGE and out == "" and "Traceback" not in err
     assert err.startswith(f"fcone: error: {prefix} {path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("fcurves", "--divisor"), "cannot read JSON file"),
+        (("pullback", "alpha", "--divisor"), "cannot read JSON file"),
+        (("lemmas", "--expectations"), "cannot load expectations from"),
+    ],
+    ids=["fcurves", "pullback", "lemmas"],
+)
+def test_json_file_over_the_byte_cap_exit_three(tmp_path, capsys, monkeypatch, argv, prefix):
+    # the cap is set small here: a file is refused from its size alone,
+    # before decoding, and one at the cap is read as usual
+    monkeypatch.setattr("fcone.cli.MAX_JSON_BYTES", 64)
+    path = tmp_path / "input.json"
+    path.write_bytes(b"{}" + b" " * 63)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"fcone: error: {prefix} {path}: file exceeds 64 bytes\n"
+    path.write_bytes(b"{}" + b" " * 62)  # decoded, then refused for its content
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_USAGE and "exceeds" not in err
+    if os.path.exists("/dev/zero"):  # an endless file is read only up to the cap
+        code, out, err = run(capsys, *argv, "/dev/zero")
+        assert code == EXIT_USAGE and err.endswith(": file exceeds 64 bytes\n")
 
 
 def assert_exit_contract(argv):

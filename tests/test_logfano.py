@@ -312,6 +312,41 @@ class TestVerifyWitness:
         assert (report.f_min, report.f_max) == (-4, -1)
         assert compared < 20
 
+    @pytest.mark.parametrize(
+        "n, combo, want",
+        [
+            (5, {2: Fraction(1, 4), 4: Fraction(1, 4), 5: 1}, ("verified", None, "-1/4", "-1/4")),
+            (7, {2: Fraction(1, 3)}, (
+                "refuted",
+                "F-curve {1}|{2}|{3}|{4,5,6,7,8} meets the class in degree 0, not < 0",
+                "0",
+                "4/3",
+            )),
+            (9, {2: -1, 3: -1, 4: 0, 5: 2, 6: 6, 7: 10, 8: 17, 9: 24}, (
+                "refuted",
+                "boundary coefficient outside [0,1]: a2=-1",
+                "-4",
+                "-1",
+            )),
+        ],
+        ids=["n5-verified", "n7-scan-refutes", "n9-range-refutes"],
+    )
+    def test_one_pullback_per_verification(self, monkeypatch, n, combo, want):
+        # both scans read the class chs_ample pulled back; the report is the
+        # one two separate pullbacks gave
+        calls = 0
+
+        def counted(H):
+            nonlocal calls
+            calls += 1
+            return pullback_alpha(H)
+
+        monkeypatch.setattr("fcone.kmaps.pullback_alpha", counted)
+        monkeypatch.setattr("fcone.logfano.pullback_alpha", counted, raising=False)
+        data = verify_witness(n, combo).to_json_dict()
+        assert calls == 1
+        assert (data["verdict"], data["reason"], data["f_min"], data["f_max"]) == want
+
     def test_json_payload(self):
         data = verify_witness(4, {4: 1}).to_json_dict()
         assert data["verdict"] == "verified"

@@ -17,7 +17,7 @@ from combinat_reference import (
     shape_of,
 )
 
-from fcone.combinat import Subset, enumerate_four_partitions
+from fcone.combinat import Subset, canonical_key, enumerate_four_partitions
 from fcone.kmaps import BoundaryCombo, canonical_class, pullback_alpha
 from fcone.mcurves import (
     MDivisor,
@@ -330,6 +330,32 @@ class TestSignTestExactness:
         # the sample reaches zero, both signs and a non-integer value
         assert 0 in values and min(values) < 0 < max(values)
         assert any(v.denominator > 1 for v in values)
+
+    def test_distinct_values_bounded_by_the_mask_table(self):
+        # +-3^e/4 with a distinct e on each of the 127 keys at m = 8: a
+        # partition's seven keys enter with sign +1 or -1, and balanced ternary
+        # is unique, so all S(8, 4) = 1701 F-values differ, far more than the
+        # 246 masks of the table
+        m = 8
+        keys = dict.fromkeys(canonical_key(Subset(mask, m)) for mask in range(1, (1 << m) - 1))
+        exponents = random.Random(16).sample(range(len(keys)), len(keys))
+        H = MDivisor(m, {S: Fraction((-1) ** e * 3**e, 4) for S, e in zip(keys, exponents)})
+        assert len(H.coeffs) == 127
+        values = [reference_f_value(H, P) for P in enumerate_four_partitions(m)]
+        assert len(set(values)) == len(values) == 1701
+        for sense in ("positive", "negative"):
+            decision = f_positivity(H, sense, all_witnesses=True)
+            got = [(v.partition, v.value) for v in decision.violations]
+            assert got == reference_violations(H, sense, True) and got
+        interned, cap = H._mask_table[2:]
+        assert cap == 8 + 2 * 119  # singleton masks, and both sides of each split
+        assert len(interned) == cap
+
+    def test_equal_values_share_one_fraction(self):
+        H = lemma_divisor_m5()
+        values = [f_curve_value(H, P) for P in enumerate_four_partitions(5)]
+        assert values == [-1] * 10
+        assert all(v is values[0] for v in values)
 
     def test_all_witness_scan_peak_memory(self):
         # one slotted FValue and FourPartition per violation: 7.4 MiB, against
