@@ -39,56 +39,54 @@ EXIT_REFUTED = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
 
-_COMBO_TOKEN = re.compile(r"^a?(\d+)=(.+)$")
-_BOUND_TOKEN = re.compile(r"^a?(\d+)(<=|>=)(.+)$")
+# one "aS<relation>p/q" token of a combo or bounds spec; the leading 'a' is
+# optional and each spec admits only its own relations
+_SPEC_TOKEN = re.compile(r"^a?(\d+)(=|<=|>=)(.+)$")
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage, parse or data error; ``main`` prints it and exits 3."""
+
+
+def _parse_spec(text: str, kind: str, relations: tuple[str, ...], duplicate: str, build):
+    """``build`` applied to {(s, relation): rational}, read from the
+    comma-separated tokens of ``text``. ``duplicate`` formats the message for
+    a repeated (s, relation); every error is a ``CliError``."""
+    values = {}
+    text = text.strip()
+    try:
+        if text:
+            for token in text.split(","):
+                match = _SPEC_TOKEN.match(token.strip())
+                if not match or match[2] not in relations:
+                    expected = " or ".join(f"aS{rel}p/q" for rel in relations)
+                    raise CliError(f"malformed {kind} token {token!r} (expected {expected})")
+                key = int(match[1]), match[2]
+                if key in values:
+                    raise CliError(duplicate.format(*key))
+                values[key] = parse_rational(match[3])
+        return build(values)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def parse_combo_spec(text: str, n: int) -> BoundaryCombo:
     """Parse "a4=1,a2=1/4" (the leading 'a' is optional)."""
-    coeffs = {}
-    text = text.strip()
-    try:
-        if text:
-            for token in text.split(","):
-                match = _COMBO_TOKEN.match(token.strip())
-                if not match:
-                    raise CliError(f"malformed combo token {token!r} (expected aS=p/q)")
-                s = int(match.group(1))
-                if s in coeffs:
-                    raise CliError(f"duplicate coefficient for a{s}")
-                coeffs[s] = parse_rational(match.group(2))
-        return BoundaryCombo.of(n, coeffs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return _parse_spec(
+        text, "combo", ("=",), "duplicate coefficient for a{0}",
+        lambda values: BoundaryCombo.of(n, {s: q for (s, _), q in values.items()}),
+    )
 
 
 def parse_bounds_spec(text: str) -> Bounds:
     """Parse "a4>=0,a6<=1" into one-sided bounds."""
-    lower: dict[int, object] = {}
-    upper: dict[int, object] = {}
-    text = text.strip()
-    try:
-        if text:
-            for token in text.split(","):
-                match = _BOUND_TOKEN.match(token.strip())
-                if not match:
-                    raise CliError(
-                        f"malformed bound token {token!r} (expected aS>=p/q or aS<=p/q)"
-                    )
-                s, rel, value = int(match.group(1)), match.group(2), match.group(3)
-                target = lower if rel == ">=" else upper
-                if s in target:
-                    raise CliError(f"duplicate {rel} bound for a{s}")
-                target[s] = parse_rational(value)
-        return Bounds.of(lower, upper)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    sides = (">=", "<=")
+    return _parse_spec(
+        text, "bound", sides, "duplicate {1} bound for a{0}",
+        lambda values: Bounds.of(
+            *({s: q for (s, rel), q in values.items() if rel == side} for side in sides)
+        ),
+    )
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -136,7 +134,9 @@ def _read_json(path: str):
     return json.loads(raw.decode("utf-8"))
 
 
-def _load_json_file(path: str) -> dict:
+def _load_divisor(path: str, cls):
+    """The ``cls`` divisor (``MDivisor`` or ``KDivisor``) in the JSON file at
+    ``path``."""
     try:
         data = _read_json(path)
     # ValueError covers bad JSON, bad UTF-8, the int digit limit and the
@@ -145,15 +145,21 @@ def _load_json_file(path: str) -> dict:
         raise CliError(f"cannot read JSON file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"JSON file {path} must hold an object")
-    return data
+    try:
+        return cls.from_json_dict(data)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CliError(f"bad divisor file: {exc}") from exc
 
 
-def _witness_exit(verdict: WitnessVerdict) -> int:
-    return {
-        WitnessVerdict.VERIFIED: EXIT_OK,
-        WitnessVerdict.REFUTED: EXIT_REFUTED,
-        WitnessVerdict.UNDECIDED: EXIT_UNDECIDED,
-    }[verdict]
+# the exit code of each verdict, of witness reports and F-curve scans alike
+VERDICT_EXIT = {
+    WitnessVerdict.VERIFIED: EXIT_OK,
+    WitnessVerdict.REFUTED: EXIT_REFUTED,
+    WitnessVerdict.UNDECIDED: EXIT_UNDECIDED,
+    Verdict.POSITIVE: EXIT_OK,
+    Verdict.NOT_POSITIVE: EXIT_REFUTED,
+    Verdict.POSITIVE_BUT_UNDECIDED: EXIT_UNDECIDED,
+}
 
 
 def _witness_lines(report) -> list[str]:
@@ -181,7 +187,7 @@ def cmd_verify(args) -> int:
         args,
         "verify",
         {"n": args.n, "combo": args.combo},
-        _witness_exit(report.verdict),
+        VERDICT_EXIT[report.verdict],
         report.to_json_dict,
         lambda: "\n".join(_witness_lines(report)),
     )
@@ -209,24 +215,15 @@ def cmd_search(args) -> int:
             lines += ["  " + line for line in _witness_lines(outcome.report)]
         return "\n".join(lines)
 
-    code = _witness_exit(outcome.report.verdict) if feas.feasible else EXIT_REFUTED
+    code = VERDICT_EXIT[outcome.report.verdict] if feas.feasible else EXIT_REFUTED
     return _emit(
         args, "search", {"n": args.n, "bounds": args.bounds}, code, outcome.to_json_dict, text
     )
 
 
 def cmd_fcurves(args) -> int:
-    data = _load_json_file(args.divisor)
-    try:
-        H = MDivisor.from_json_dict(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise CliError(f"bad divisor file: {exc}") from exc
+    H = _load_divisor(args.divisor, MDivisor)
     decision = f_positivity(H, args.sense, all_witnesses=args.all_witnesses)
-    code = {
-        Verdict.POSITIVE: EXIT_OK,
-        Verdict.NOT_POSITIVE: EXIT_REFUTED,
-        Verdict.POSITIVE_BUT_UNDECIDED: EXIT_UNDECIDED,
-    }[decision.verdict]
 
     def text() -> str:
         lines = [f"m={H.m} sense={args.sense}: {decision.verdict.value}"]
@@ -238,16 +235,13 @@ def cmd_fcurves(args) -> int:
         return "\n".join(lines)
 
     inputs = {"divisor": args.divisor, "sense": args.sense}
+    code = VERDICT_EXIT[decision.verdict]
     return _emit(args, "fcurves", inputs, code, decision.to_json_dict, text)
 
 
 def _divisor_from_args(args) -> KDivisor:
     if args.divisor:
-        data = _load_json_file(args.divisor)
-        try:
-            return KDivisor.from_json_dict(data)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise CliError(f"bad divisor file: {exc}") from exc
+        return _load_divisor(args.divisor, KDivisor)
     if args.n is None:
         raise CliError("need --divisor FILE or --n N (with optional --K/--combo)")
     if not (args.K or args.combo):
@@ -260,8 +254,6 @@ def _divisor_from_args(args) -> KDivisor:
 def cmd_pullback(args) -> int:
     H = _divisor_from_args(args)
     if args.direction == "alpha":
-        if H.n < 3:
-            raise CliError(f"curve-side pullback needs n >= 3, got n={H.n}")
         result = pullback_alpha(H).to_json_dict()
         text = lambda: _json_text(result)
     else:
@@ -318,28 +310,21 @@ def cmd_lemmas(args) -> int:
 
     mismatches: list[str] = []
     rows: list[str] = []
-    payload: dict = {}
+    details: dict = {}
 
     for combo, want in witnesses:
         n = combo.n
         report = verify_witness(n, combo)
-        payload[f"witness_{n}"] = report
-        got = {
-            "verdict": report.verdict.value,
-            "f_min": str(report.f_min),
-            "f_max": str(report.f_max),
-            "beta_degree": str(report.beta_degree),
-        }
-        for field, value in got.items():
-            if value != want[field]:
-                mismatches.append(f"n={n}: {field} expected {want[field]}, got {value}")
+        got = details[f"witness_{n}"] = report.to_json_dict()
+        for field, value in want.items():
+            if got[field] != value:
+                mismatches.append(f"n={n}: {field} expected {value}, got {got[field]}")
         rows.append(
             f"n={n}  combo {combo}  F in [{report.f_min}, {report.f_max}]  "
             f"beta {report.beta_degree}  {report.verdict.value.upper()}"
         )
 
     outcome = search_witness(n6, bounds6)
-    payload["search_6"] = outcome
     status = "feasible" if outcome.feasibility.feasible else "infeasible"
     if status != status6:
         mismatches.append(f"n={n6}: status expected {status6}, got {status}")
@@ -370,7 +355,7 @@ def cmd_lemmas(args) -> int:
         lambda: {
             "rows": rows,
             "mismatches": mismatches,
-            "details": {key: value.to_json_dict() for key, value in payload.items()},
+            "details": {**details, "search_6": outcome.to_json_dict()},
         },
         lambda: "\n".join(lines),
     )
@@ -394,26 +379,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lemmas", help="reproduce the three boundary-witness results")
     p.add_argument("--expectations", help="override the packaged expectations file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("verify", help="verify a boundary combination by full enumeration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--combo", default="", help='e.g. "a4=1" or "a2=1/4,a5=1"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="solve the reduced system for a witness")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bounds", default="", help='e.g. "a4>=0,a6<=1"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fcurves", help="scan all F-curves of a curve-side divisor")
     p.add_argument("--divisor", required=True, help="MDivisor JSON file")
     p.add_argument("--sense", choices=["positive", "negative"], default="positive")
     p.add_argument("--all-witnesses", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fcurves)
 
     p = sub.add_parser("pullback", help="pull a stable-map divisor back")
@@ -422,14 +403,14 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--K", action="store_true", help="include the canonical class")
     p.add_argument("--combo", default="", help='e.g. "a4=1"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pullback)
 
     p = sub.add_parser("strata", help="boundary correspondence of the comparison map")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_strata)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -438,10 +419,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"fcone: error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"fcone: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -83,9 +83,6 @@ class Subset:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def __contains__(self, label: int) -> bool:
-        return 1 <= label <= self.m and bool(self.mask >> (label - 1) & 1)
-
     def complement(self) -> "Subset":
         return Subset(self.mask ^ ((1 << self.m) - 1), self.m)
 
@@ -124,14 +121,11 @@ class FourPartition:
     """An unordered partition of {1, ..., m} into four nonempty blocks.
 
     Its blocks come in order of their lowest label, as
-    ``enumerate_four_partitions`` builds them; the constructor checks nothing.
+    ``enumerate_four_partitions`` builds them, and each block carries the
+    label count m; the constructor checks nothing.
     """
 
     parts: tuple[Subset, Subset, Subset, Subset]
-
-    @property
-    def m(self) -> int:
-        return self.parts[0].m
 
     def block_labels(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.labels for p in self.parts)

@@ -100,16 +100,6 @@ class KDivisor(Linear):
     def b_coefficient(self, key: Subset | Iterable[int]) -> Fraction:
         return self.b_coeffs.get(Subset.of(key, self.n), Fraction(0))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "L": {str(i): str(self.l_coeffs[i]) for i in sorted(self.l_coeffs)},
-            "B": {
-                str(S): str(self.b_coeffs[S])
-                for S in sorted(self.b_coeffs, key=Subset.sort_key)
-            },
-        }
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "KDivisor":
         """Accepts the explicit {"n","L","B"} form and the combo shorthand
@@ -188,7 +178,7 @@ def pullback_alpha(H: KDivisor) -> MDivisor:
     """
     n = H.n
     if n < 3:
-        raise ValueError(f"curve-side pullback needs n >= 3, got {n}")
+        raise ValueError(f"curve-side pullback needs n >= 3, got n={n}")
     # distinct B-keys avoid label n+1, so they name distinct splits; the
     # constructor's canonical key of the full set {1..n} is {n+1}
     return MDivisor(n + 1, {Subset(S.mask, n + 1): q for S, q in H.b_coeffs.items()})
@@ -226,7 +216,6 @@ class ChsDecision:
     verdict: ChsVerdict
     alpha: AmpDecision
     beta: tuple[tuple[int, Fraction], ...]
-    beta_violations: tuple[int, ...]
     curve_class: MDivisor
 
 
@@ -243,11 +232,10 @@ def chs_ample(H: KDivisor) -> ChsDecision:
     A = pullback_alpha(H)
     alpha = f_positivity(A, "negative")
     degrees = beta_degrees(H)
-    bad = tuple(i for i, d in degrees if not d < 0)
-    if alpha.verdict is Verdict.NOT_POSITIVE or bad:
+    if alpha.verdict is Verdict.NOT_POSITIVE or any(not d < 0 for _, d in degrees):
         verdict = ChsVerdict.FAILS
     elif alpha.verdict is Verdict.POSITIVE:
         verdict = ChsVerdict.HOLDS
     else:
         verdict = ChsVerdict.UNDECIDED
-    return ChsDecision(verdict, alpha, degrees, bad, A)
+    return ChsDecision(verdict, alpha, degrees, A)

@@ -203,7 +203,8 @@ def generate_constraints(n: int, reduced: bool = False) -> list[LinearForm]:
     else:
         forms = []
         for P in enumerate_four_partitions(m):
-            special = next(j for j, p in enumerate(P.parts) if m in p)
+            # label m = n + 1 is bit n of a block's mask
+            special = next(j for j, p in enumerate(P.parts) if p.mask >> n & 1)
             forms.append(_f_form(m, [p.size for p in P.parts], special))
     # -2 - k(n) - k(n-1) = 3 - 2n for every n >= 3
     forms.append(LinearForm.of(3 - 2 * n, {n: -1, n - 1: -1}))

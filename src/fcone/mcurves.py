@@ -74,21 +74,17 @@ class MDivisor(Linear):
             raise ValueError(f"boundary key {S} needs m >= 4")
         return canonical_key(S)
 
-    def coefficient(self, key: KeyLike) -> Fraction:
-        S = canonical_key(Subset.of(key, self.m))
-        return self.coeffs.get(S, Fraction(0))
-
     def support(self) -> list[Subset]:
         return sorted(self.coeffs, key=Subset.sort_key)
 
     @cached_property
     def _mask_table(self) -> tuple[int, Callable[[int, int], int], dict[int, Fraction], int]:
-        """(den, get, values, cap) with get(mask, 0) / den == coefficient(S)
-        for every mask of a singleton key and of either side of a boundary
-        key; other masks read 0. ``values`` interns the F-value total / den
-        per integer total, so equal F-values share one immutable Fraction; it
-        keeps at most ``cap`` entries, the size of the mask table itself.
-        Built on first use by the F-kernel."""
+        """(den, get, values, cap) with get(mask, 0) / den the coefficient on
+        the key, for every mask of a singleton key and of either side of a
+        boundary key; other masks read 0. ``values`` interns the F-value
+        total / den per integer total, so equal F-values share one immutable
+        Fraction; it keeps at most ``cap`` entries, the size of the mask table
+        itself. Built on first use by the F-kernel."""
         den = math.lcm(*(q.denominator for q in self.coeffs.values()))
         full = (1 << self.m) - 1
         table: dict[int, int] = {}

@@ -2,8 +2,8 @@
 
 All numbers travel as "p/q" strings. Divisor classes store their
 coefficients as ``{key: Fraction}`` dicts without zero entries; the
-per-key sum and the one linear combination below are shared by every
-such class.
+per-key sum and the sum of two classes below are shared by every such
+class.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import fields
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Hashable, Iterable, Mapping, TypeVar, Union
 
 RationalLike = Union[Fraction, int, str]
 Key = TypeVar("Key", bound=Hashable)
@@ -59,34 +59,16 @@ def sum_by_key(pairs: Iterable[tuple[Key, Fraction]]) -> dict[Key, Fraction]:
 
 
 class Linear:
-    """``+``, ``-``, negation and scalar ``*`` of a divisor class: a dataclass
-    whose first field is its label count and whose other fields are
-    ``{key: Fraction}`` coefficient maps."""
-
-    def _combine(self, terms: Sequence[tuple[RationalLike, "Linear"]]):
-        """The exact coefficient-wise sum of ``scalar * divisor`` over
-        (scalar, divisor) terms on the same label count."""
-        size, *maps = (f.name for f in fields(self))
-        count = getattr(self, size)
-        for _, div in terms:
-            if getattr(div, size) != count:
-                raise ValueError(f"mixed {size}: {count} vs {getattr(div, size)}")
-        scaled = [(as_rational(c), div) for c, div in terms]
-        return type(self)(count, *(
-            sum_by_key((k, c * q) for c, div in scaled if c for k, q in getattr(div, name).items())
-            for name in maps
-        ))
+    """``+`` of two divisor classes: a dataclass whose first field is its
+    label count and whose other fields are ``{key: Fraction}`` coefficient
+    maps. The sum is exact and coefficient-wise, on one label count."""
 
     def __add__(self, other):
-        return self._combine([(1, self), (1, other)])
-
-    def __sub__(self, other):
-        return self._combine([(1, self), (-1, other)])
-
-    def __neg__(self):
-        return self._combine([(-1, self)])
-
-    def __rmul__(self, scalar: RationalLike):
-        return self._combine([(scalar, self)])
-
-    __mul__ = __rmul__
+        size, *maps = (f.name for f in fields(self))
+        count = getattr(self, size)
+        if getattr(other, size) != count:
+            raise ValueError(f"mixed {size}: {count} vs {getattr(other, size)}")
+        return type(self)(count, *(
+            sum_by_key([*getattr(self, name).items(), *getattr(other, name).items()])
+            for name in maps
+        ))

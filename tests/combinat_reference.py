@@ -1,12 +1,16 @@
 """Partition helpers that only the tests need: relabelling by a permutation,
 the orbit shape of one partition, partition text parsing and the documented
 scan order. They are references for ``enumerate_shapes`` and
-``enumerate_four_partitions``, written independently of both walks.
+``enumerate_four_partitions``, written independently of both walks. Two
+divisor helpers sit here too, as the package has no use for them: the
+coefficient a curve-side class puts on one subset, and a scaled class.
 """
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from fcone.combinat import FourPartition, PartitionShape, Subset
+from fcone.combinat import FourPartition, PartitionShape, Subset, canonical_key
+from fcone.kmaps import KDivisor
 from fcone.mcurves import MDivisor
 
 
@@ -31,12 +35,28 @@ def relabel_divisor(H: MDivisor, sigma: Sequence[int]) -> MDivisor:
     return MDivisor(H.m, {relabel_subset(S, sigma): q for S, q in H.coeffs.items()})
 
 
+def coefficient(H: MDivisor, key: Subset | Iterable[int]) -> Fraction:
+    """The coefficient of H on the divisor that ``key`` (a subset or its
+    labels) names, read at the canonical key of the split."""
+    return H.coeffs.get(canonical_key(Subset.of(key, H.m)), Fraction(0))
+
+
+def scaled_class(c, H: MDivisor | KDivisor) -> MDivisor | KDivisor:
+    """The class c * H, built from the scaled coefficient maps."""
+    if isinstance(H, MDivisor):
+        return MDivisor(H.m, {S: c * q for S, q in H.coeffs.items()})
+    return KDivisor(
+        H.n, {i: c * q for i, q in H.l_coeffs.items()}, {S: c * q for S, q in H.b_coeffs.items()}
+    )
+
+
 def shape_of(P: FourPartition, special: int) -> PartitionShape:
     """The shape of one partition, read off its blocks."""
-    if not 1 <= special <= P.m:
-        raise ValueError(f"special label {special} out of range 1..{P.m}")
+    m = P.parts[0].m
+    if not 1 <= special <= m:
+        raise ValueError(f"special label {special} out of range 1..{m}")
     sizes = tuple(sorted(p.size for p in P.parts))
-    return PartitionShape(sizes, next(p.size for p in P.parts if special in p))
+    return PartitionShape(sizes, next(p.size for p in P.parts if special in p.labels))
 
 
 def parse_partition(text: str, m: int) -> FourPartition:

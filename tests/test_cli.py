@@ -14,18 +14,34 @@ from fcone.cli import (
     EXIT_REFUTED,
     EXIT_UNDECIDED,
     EXIT_USAGE,
+    VERDICT_EXIT,
     main,
     parse_bounds_spec,
     parse_combo_spec,
 )
 from fcone.kmaps import BoundaryCombo, canonical_class, pullback_alpha
-from fcone.mcurves import MDivisor
+from fcone.logfano import WitnessVerdict
+from fcone.mcurves import MDivisor, Verdict
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_verdict_has_the_readme_exit_code():
+    # README: 0 verified/feasible, 1 refuted/infeasible, 2 the inequalities
+    # pass beyond the range where that decides ampleness
+    assert set(VERDICT_EXIT) == set(WitnessVerdict) | set(Verdict)
+    assert VERDICT_EXIT == {
+        WitnessVerdict.VERIFIED: 0,
+        WitnessVerdict.REFUTED: 1,
+        WitnessVerdict.UNDECIDED: 2,
+        Verdict.POSITIVE: 0,
+        Verdict.NOT_POSITIVE: 1,
+        Verdict.POSITIVE_BUT_UNDECIDED: 2,
+    }
 
 
 class TestParsers:
@@ -181,6 +197,11 @@ class TestPullbackCommand:
     def test_empty_divisor_usage_error(self, capsys):
         code, _, _ = run(capsys, "pullback", "alpha", "--n", "4")
         assert code == EXIT_USAGE
+
+    def test_alpha_needs_three_markings(self, capsys):
+        code, out, err = run(capsys, "pullback", "alpha", "--n", "2", "--K")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "fcone: error: curve-side pullback needs n >= 3, got n=2\n"
 
 
 class TestDivisorFileBoundary:

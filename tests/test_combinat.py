@@ -63,7 +63,7 @@ class TestSubset:
         assert S.labels == (1, 3, 4)
         assert str(S) == "1,3,4"
         assert Subset.parse("1,3,4", 5) == S
-        assert S.size == 3 and 3 in S and 2 not in S
+        assert S.size == 3 and S.mask == 0b1101  # labels 1, 3, 4: bits 0, 2, 3
 
     def test_complement(self):
         S = Subset.from_labels([1, 2], 5)

@@ -1,12 +1,13 @@
-"""The sparse-coefficient core shared by both divisor classes: ``+``, ``-``,
-negation and scalar ``*`` (one ``Linear._combine`` for both classes)
-against coefficient-wise reference sums written out here."""
+"""The sparse-coefficient core shared by both divisor classes: construction
+from keyed coefficient maps and ``+`` (one ``Linear.__add__`` for both
+classes), against coefficient-wise reference sums written out here. A
+scaled class is built from its scaled coefficient map."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from fcone.combinat import Subset
+from fcone.combinat import Subset, canonical_key
 from fcone.kmaps import KDivisor
 from fcone.mcurves import MDivisor
 
@@ -47,16 +48,9 @@ def weighted_sum(terms, key=lambda mask: mask):
     return out
 
 
-def operations(x, y, xs, ys, a):
-    """Pairs of (result, reference terms) for each operator on x, y."""
-    return [
-        (x, [(1, xs)]),
-        (x + y, [(1, xs), (1, ys)]),
-        (x - y, [(1, xs), (-1, ys)]),
-        (-x, [(-1, xs)]),
-        (a * x, [(Fraction(a), xs)]),
-        (x * a, [(Fraction(a), xs)]),
-    ]
+def scaled(c, keyed):
+    """The coefficient map ``keyed`` times the scalar ``c``."""
+    return {key: Fraction(c) * q for key, q in keyed.items()}
 
 
 @st.composite
@@ -74,18 +68,18 @@ def test_mdivisor_arithmetic_matches_reference(case):
     split = lambda mask: min(mask, full ^ mask)  # one id per pair {T, T^c}
     divs = [MDivisor(m, keyed) for _, keyed in parts]
     raw = [by_mask for by_mask, _ in parts]
-    checks = operations(divs[0], divs[1], raw[0], raw[1], a)
-    checks.append(
-        (
-            a * divs[0] + b * divs[1] + c * divs[2],
-            [(Fraction(a), raw[0]), (Fraction(b), raw[1]), (Fraction(c), raw[2])],
-        )
-    )
+    x, y, z = (MDivisor(m, scaled(s, keyed)) for s, (_, keyed) in zip((a, b, c), parts))
+    checks = [
+        (divs[0], [(1, raw[0])]),
+        (divs[0] + divs[1], [(1, raw[0]), (1, raw[1])]),
+        (x, [(a, raw[0])]),
+        (x + y + z, [(a, raw[0]), (b, raw[1]), (c, raw[2])]),
+    ]
     for H, terms in checks:
         ref = weighted_sum(terms, split)
         assert H.m == m
         for mask in range(1, full):
-            assert H.coefficient(labels(mask)) == ref.get(split(mask), 0)
+            assert H.coeffs.get(canonical_key(Subset(mask, m)), 0) == ref.get(split(mask), 0)
         assert len(H.coeffs) == sum(1 for q in ref.values() if q)
         assert all(type(q) is Fraction and q for q in H.coeffs.values())
 
@@ -105,9 +99,17 @@ def k_case(draw):
 def test_kdivisor_arithmetic_matches_reference(case):
     n, parts, a = case
     divs = [KDivisor(n, l, keyed) for l, (_, keyed) in parts]
-    l_ops = operations(divs[0], divs[1], parts[0][0], parts[1][0], a)
-    b_ops = operations(divs[0], divs[1], parts[0][1][0], parts[1][1][0], a)
-    for (H, l_terms), (_, b_terms) in zip(l_ops, b_ops):
+    (l0, (b0, k0)), (l1, (b1, _)) = parts
+    checks = [
+        (divs[0], [(1, l0)], [(1, b0)]),
+        (divs[0] + divs[1], [(1, l0), (1, l1)], [(1, b0), (1, b1)]),
+        (
+            KDivisor(n, scaled(a, l0), scaled(a, k0)) + divs[1],
+            [(a, l0), (1, l1)],
+            [(a, b0), (1, b1)],
+        ),
+    ]
+    for H, l_terms, b_terms in checks:
         l_ref, b_ref = weighted_sum(l_terms), weighted_sum(b_terms)
         assert H.n == n
         for i in range(1, n + 1):

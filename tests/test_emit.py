@@ -4,6 +4,7 @@ subcommand."""
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -72,8 +73,18 @@ def divisor_files(tmp_path):
     # non-ASCII names: the path is echoed into the report's "inputs"
     m_file = tmp_path / "dïvisör-∂.json"
     m_file.write_text(json.dumps(pullback_alpha(canonical_class(4)).to_json_dict()))
+    # K_5 in the explicit form: L_i at -2, B_S at |S| - 2
+    K5 = {
+        "n": 5,
+        "L": {str(i): "-2" for i in range(1, 6)},
+        "B": {
+            ",".join(map(str, S)): str(s - 2)
+            for s in range(3, 6)
+            for S in combinations(range(1, 6), s)
+        },
+    }
     k_file = tmp_path / "K-é😀.json"
-    k_file.write_text(json.dumps(canonical_class(5).to_json_dict()))
+    k_file.write_text(json.dumps(K5))
     return str(m_file), str(k_file)
 
 
