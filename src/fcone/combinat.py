@@ -116,22 +116,25 @@ def canonical_key(S: Subset) -> Subset:
     return S.complement()
 
 
-@dataclass(frozen=True, slots=True)
-class FourPartition:
-    """An unordered partition of {1, ..., m} into four nonempty blocks.
-
-    Its blocks come in order of their lowest label, as
-    ``enumerate_four_partitions`` builds them, and each block carries the
-    label count m; the constructor checks nothing.
+class FourPartition(tuple[Subset, Subset, Subset, Subset]):
+    """An unordered partition of {1, ..., m} into four nonempty blocks: the
+    tuple of its four blocks, in order of their lowest label, as
+    ``enumerate_four_partitions`` builds them; each block carries the label
+    count m. Built by ``tuple.__new__`` with no check and no instance dict,
+    so equality and hashing are those of the block tuple.
     """
 
-    parts: tuple[Subset, Subset, Subset, Subset]
+    __slots__ = ()
+
+    @property
+    def parts(self) -> "FourPartition":
+        return self
 
     def block_labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.labels for p in self.parts)
+        return tuple(p.labels for p in self)
 
     def __str__(self) -> str:
-        return "{%s}|{%s}|{%s}|{%s}" % self.parts
+        return "{%s}|{%s}|{%s}|{%s}" % self
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,8 @@ def enumerate_four_partitions(m: int) -> Iterator[FourPartition]:
     at m = 12); each list is walked as soon as it is built, so the memo grows
     with the walk, and the first partition costs one list of 2^(m-4). Blocks
     are built once per mask and shared between the partitions that contain
-    them (at most 2^m per call).
+    them (at most 2^m per call); each partition is one ``FourPartition``
+    tuple of shared blocks, built with no check.
     """
     if m < 4:
         raise ValueError(f"no four-block partitions of {m} < 4 labels")
@@ -229,7 +233,7 @@ def enumerate_shapes(m: int, special: int) -> list[tuple[PartitionShape, FourPar
     shapes: dict[tuple[int, ...], PartitionShape] = {}
     reps: dict[PartitionShape, FourPartition] = {}
     for P in enumerate_four_partitions(m):
-        A, B, C, D = P.parts
+        A, B, C, D = P
         a, b, c, d = A.mask, B.mask, C.mask, D.mask
         key = (
             a.bit_count(),

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Literal, Mapping
+from typing import Iterable, Literal, Mapping
 
 from .combinat import MAX_KEY_LABELS, FourPartition, Subset, canonical_key
 from .combinat import enumerate_four_partitions
@@ -78,22 +78,26 @@ class MDivisor(Linear):
         return sorted(self.coeffs, key=Subset.sort_key)
 
     @cached_property
-    def _mask_table(self) -> tuple[int, Callable[[int, int], int], dict[int, Fraction], int]:
-        """(den, get, values, cap) with get(mask, 0) / den the coefficient on
+    def _mask_table(self) -> tuple[int, list[int], dict[int, Fraction], int]:
+        """(den, table, values, cap) with table[mask] / den the coefficient on
         the key, for every mask of a singleton key and of either side of a
-        boundary key; other masks read 0. ``values`` interns the F-value
-        total / den per integer total, so equal F-values share one immutable
-        Fraction; it keeps at most ``cap`` entries, the size of the mask table
-        itself. Built on first use by the F-kernel."""
+        boundary key; the table is dense, one int per mask of m labels (8 KiB
+        at m = 10, 16 MiB at m = 21), and other masks read 0. ``values``
+        interns the F-value total / den per integer total, so equal F-values
+        share one immutable Fraction; it keeps at most ``cap`` entries, the
+        number of keyed masks. Built on first use by the F-kernel."""
         den = math.lcm(*(q.denominator for q in self.coeffs.values()))
         full = (1 << self.m) - 1
-        table: dict[int, int] = {}
+        table = [0] * (full + 1)
+        cap = 0
         for S, q in self.coeffs.items():
             num = q.numerator * (den // q.denominator)
             table[S.mask] = num
+            cap += 1
             if S.size >= 2:
                 table[full ^ S.mask] = num
-        return den, table.get, {}, len(table)
+                cap += 1
+        return den, table, {}, cap
 
     def to_json_dict(self) -> dict:
         """Wire format: {"m":…, "psi":{"i": q}, "delta":{"a,b,c": q}}.
@@ -141,14 +145,14 @@ class FValue:
 
 def f_curve_value(H: MDivisor, P: FourPartition) -> Fraction:
     """Intersection of H with the F-curve of partition P (exact rational)."""
-    I, J, K, L = P.parts
+    I, J, K, L = P
     if I.m != H.m:
         raise ValueError(f"partition on {I.m} labels vs divisor on {H.m}")
-    den, get, values, cap = H._mask_table
+    den, table, values, cap = H._mask_table
     i, j, k, l = I.mask, J.mask, K.mask, L.mask
     total = (
-        get(i | j, 0) + get(i | k, 0) + get(i | l, 0)
-        - get(i, 0) - get(j, 0) - get(k, 0) - get(l, 0)
+        table[i | j] + table[i | k] + table[i | l]
+        - table[i] - table[j] - table[k] - table[l]
     )
     v = values.get(total)
     if v is None:

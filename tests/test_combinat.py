@@ -119,6 +119,15 @@ class TestFourPartition:
         assert str(P) == "{1}|{2}|{3}|{4,5}"
         assert parse_partition("{4,5}|{3}|{2}|{1}", 5) == P
 
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_record_is_the_tuple_of_its_blocks(self, m):
+        for P in enumerate_four_partitions(m):
+            assert P.parts == tuple(P) and len(P) == 4
+            assert not hasattr(P, "__dict__")
+            Q = partition_of(reversed(P))
+            assert Q == P and hash(Q) == hash(P) and str(Q) == str(P)
+            assert parse_partition(str(P), m) == P
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("m,count", [(4, 1), (5, 10), (6, 65), (7, 350), (8, 1701)])

@@ -151,9 +151,14 @@ class TestFCurveValue:
         assert f_curve_value(MDivisor(5, {}), P) == 0
 
     def test_size_mismatch_rejected(self):
-        P = parse_partition("{1}|{2}|{3}|{4,5}", 5)
-        with pytest.raises(ValueError):
-            f_curve_value(MDivisor(6, {}), P)
+        # on one label fewer or one more: the dense mask table would read a
+        # smaller partition's masks silently and index past its end for a
+        # larger one
+        H = MDivisor(6, {Subset.from_labels([1, 2], 6): 1})
+        for m in (5, 7):
+            P = next(enumerate_four_partitions(m))
+            with pytest.raises(ValueError, match=f"partition on {m} labels vs divisor on 6"):
+                f_curve_value(H, P)
 
     @given(st.tuples(mdivisors(6), mdivisors(6), rationals, rationals))
     @settings(max_examples=50)
@@ -218,6 +223,23 @@ class TestFKernel:
         assert [f_curve_value(H1 + H2, P) for P in partitions] == [
             reference_f_value(H1 + H2, P) for P in partitions
         ]
+
+    def test_dense_table_at_the_most_markings_scanned(self):
+        # one int per mask of 21 labels: 16 MiB, and cap counts keyed masks only
+        H = MDivisor(21, {})
+        tracemalloc.start()
+        try:
+            den, table, interned, cap = H._mask_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < 17
+        assert (den, len(table), interned, cap) == (1, 1 << 21, {}, 0)
+        assert f_curve_value(H, next(enumerate_four_partitions(21))) == 0
+        keyed = MDivisor(21, {Subset.from_labels([3], 21): 1, Subset.from_labels([1, 2], 21): Fraction(1, 2)})
+        den, table, interned, cap = keyed._mask_table
+        assert cap == 3  # {3}, {1,2} and its complement
+        assert (den, sum(1 for x in table if x)) == (2, 3)
 
 
 class TestFPositivity:
