@@ -12,7 +12,6 @@ from .combinat import (
 from .kmaps import (
     BoundaryCombo,
     ChsDecision,
-    ChsVerdict,
     KDivisor,
     beta_degrees,
     boundary_keys,
@@ -50,7 +49,6 @@ __all__ = [
     "BoundaryCombo",
     "Bounds",
     "ChsDecision",
-    "ChsVerdict",
     "DivisorCorrespondence",
     "FULTON_MAX_MARKINGS",
     "FValue",

@@ -126,10 +126,6 @@ class FourPartition(tuple[Subset, Subset, Subset, Subset]):
 
     __slots__ = ()
 
-    @property
-    def parts(self) -> "FourPartition":
-        return self
-
     def block_labels(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.labels for p in self)
 
@@ -223,8 +219,6 @@ def enumerate_shapes(m: int, special: int) -> list[tuple[PartitionShape, FourPar
     with this walk, which defines the order by first occurrence; the walk
     also hands out each representative as an actual partition of the scan.
     """
-    if m < 4:
-        raise ValueError(f"no four-block partitions of {m} < 4 labels")
     if not 1 <= special <= m:
         raise ValueError(f"special label {special} out of range 1..{m}")
     # key: the block sizes in block order, then the size of the block holding

@@ -26,7 +26,6 @@ scan) and every line section must have negative degree.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,7 +38,6 @@ from .rationals import Linear, RationalLike, as_rational, json_coeffs, sum_by_ke
 __all__ = [
     "KDivisor",
     "BoundaryCombo",
-    "ChsVerdict",
     "ChsDecision",
     "MAX_KEY_LABELS",
     "boundary_keys",
@@ -201,19 +199,16 @@ def beta_degrees(H: KDivisor) -> tuple[tuple[int, Fraction], ...]:
     return tuple((i, pullback_beta(H, i)) for i in range(1, H.n + 1))
 
 
-class ChsVerdict(enum.Enum):
-    HOLDS = "holds"
-    FAILS = "fails"
-    UNDECIDED = "undecided"
-
-
 @dataclass(frozen=True)
 class ChsDecision:
     """Certificate of the two-pullback anti-ampleness test: the curve-side
-    scan outcome plus every line-section degree, and the curve-side pullback
-    that was scanned."""
+    scan outcome, every line-section degree, and the curve-side pullback
+    that was scanned. ``verdict`` is NOT_POSITIVE if either pullback fails,
+    POSITIVE if both pass within the range where F-positivity decides
+    ampleness (n + 1 <= 7 markings), POSITIVE_BUT_UNDECIDED if both pass
+    beyond it."""
 
-    verdict: ChsVerdict
+    verdict: Verdict
     alpha: AmpDecision
     beta: tuple[tuple[int, Fraction], ...]
     curve_class: MDivisor
@@ -223,19 +218,13 @@ def chs_ample(H: KDivisor) -> ChsDecision:
     """Decide anti-ampleness of H through the two pullbacks.
 
     The test checks negativity of H itself, never ampleness of -H, so the
-    certificate names the divisor actually supplied. A passing curve-side
-    scan upgrades to a real verdict only within the range where F-positivity
-    is decisive (n + 1 <= 7 markings); beyond that the verdict is UNDECIDED.
-    Failures are decisive for every n since the scanned inequalities are
-    necessary.
+    certificate names the divisor actually supplied. The verdict is the
+    curve-side scan's unless a line-section degree is not < 0, which makes
+    it NOT_POSITIVE. NOT_POSITIVE is decisive for every n since the scanned
+    inequalities are necessary.
     """
     A = pullback_alpha(H)
     alpha = f_positivity(A, "negative")
     degrees = beta_degrees(H)
-    if alpha.verdict is Verdict.NOT_POSITIVE or any(not d < 0 for _, d in degrees):
-        verdict = ChsVerdict.FAILS
-    elif alpha.verdict is Verdict.POSITIVE:
-        verdict = ChsVerdict.HOLDS
-    else:
-        verdict = ChsVerdict.UNDECIDED
+    verdict = Verdict.NOT_POSITIVE if any(not d < 0 for _, d in degrees) else alpha.verdict
     return ChsDecision(verdict, alpha, degrees, A)

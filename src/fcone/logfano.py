@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinat import enumerate_four_partitions
-from .kmaps import BoundaryCombo, ChsVerdict, _check_key_labels, chs_ample
+from .kmaps import BoundaryCombo, _check_key_labels, chs_ample
 from .mcurves import Verdict, f_curve_value
 from .rationals import RationalLike, as_rational, sum_by_key
 
@@ -53,15 +53,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearForm:
-    """An affine inequality  constant + sum coeffs[s] * a_s  (< or <=) 0."""
+    """An affine inequality  constant + sum coeffs[s] * a_s  (< or <=) 0,
+    built with ``of``, which keeps the nonzero coefficients sorted by s."""
 
     constant: Fraction
     coeffs: tuple[tuple[int, Fraction], ...]
     strict: bool
-
-    def __post_init__(self) -> None:
-        pairs = tuple(sorted((s, q) for s, q in self.coeffs if q != 0))
-        object.__setattr__(self, "coeffs", pairs)
 
     @classmethod
     def of(
@@ -70,15 +67,8 @@ class LinearForm:
         coeffs: Mapping[int, RationalLike],
         strict: bool = True,
     ) -> "LinearForm":
-        return cls(
-            as_rational(constant),
-            tuple((int(s), as_rational(q)) for s, q in coeffs.items()),
-            strict,
-        )
-
-    @property
-    def relation(self) -> str:
-        return "<0" if self.strict else "<=0"
+        pairs = ((int(s), as_rational(q)) for s, q in coeffs.items())
+        return cls(as_rational(constant), tuple(sorted(p for p in pairs if p[1])), strict)
 
     def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
         total = self.constant
@@ -94,7 +84,7 @@ class LinearForm:
         return {
             "constant": str(self.constant),
             "coeffs": {str(s): str(q) for s, q in self.coeffs},
-            "relation": self.relation,
+            "relation": "<0" if self.strict else "<=0",
         }
 
     def __str__(self) -> str:
@@ -204,8 +194,8 @@ def generate_constraints(n: int, reduced: bool = False) -> list[LinearForm]:
         forms = []
         for P in enumerate_four_partitions(m):
             # label m = n + 1 is bit n of a block's mask
-            special = next(j for j, p in enumerate(P.parts) if p.mask >> n & 1)
-            forms.append(_f_form(m, [p.size for p in P.parts], special))
+            special = next(j for j, p in enumerate(P) if p.mask >> n & 1)
+            forms.append(_f_form(m, [p.size for p in P], special))
     # -2 - k(n) - k(n-1) = 3 - 2n for every n >= 3
     forms.append(LinearForm.of(3 - 2 * n, {n: -1, n - 1: -1}))
     return forms
@@ -495,8 +485,8 @@ def verify_witness(
         raise RuntimeError("symmetric combination must have label-independent degree")
     beta = degs.pop()
 
-    in_unit = all(0 <= q <= 1 for _, q in combo.a)
-    if decision.verdict is ChsVerdict.FAILS:
+    bad = next((f"a{s}={q}" for s, q in combo.a if not 0 <= q <= 1), None)
+    if decision.verdict is Verdict.NOT_POSITIVE:
         if decision.alpha.verdict is Verdict.NOT_POSITIVE:
             reason = (
                 f"F-curve {decision.alpha.witness} meets the class in degree "
@@ -505,11 +495,9 @@ def verify_witness(
         else:
             reason = f"line-section degree {beta} is not < 0"
         verdict = WitnessVerdict.REFUTED
-    elif not in_unit:
-        bad = next(f"a{s}={q}" for s, q in combo.a if not 0 <= q <= 1)
-        reason = f"boundary coefficient outside [0,1]: {bad}"
-        verdict = WitnessVerdict.REFUTED
-    elif decision.verdict is ChsVerdict.HOLDS:
+    elif bad is not None:
+        verdict, reason = WitnessVerdict.REFUTED, f"boundary coefficient outside [0,1]: {bad}"
+    elif decision.verdict is Verdict.POSITIVE:
         verdict, reason = WitnessVerdict.VERIFIED, None
     else:
         verdict = WitnessVerdict.UNDECIDED

@@ -28,7 +28,7 @@ def partition_of(blocks: Iterable[Subset]) -> FourPartition:
 
 
 def relabel_partition(P: FourPartition, sigma: Sequence[int]) -> FourPartition:
-    return partition_of(relabel_subset(p, sigma) for p in P.parts)
+    return partition_of(relabel_subset(p, sigma) for p in P)
 
 
 def relabel_divisor(H: MDivisor, sigma: Sequence[int]) -> MDivisor:
@@ -52,11 +52,11 @@ def scaled_class(c, H: MDivisor | KDivisor) -> MDivisor | KDivisor:
 
 def shape_of(P: FourPartition, special: int) -> PartitionShape:
     """The shape of one partition, read off its blocks."""
-    m = P.parts[0].m
+    m = P[0].m
     if not 1 <= special <= m:
         raise ValueError(f"special label {special} out of range 1..{m}")
-    sizes = tuple(sorted(p.size for p in P.parts))
-    return PartitionShape(sizes, next(p.size for p in P.parts if special in p.labels))
+    sizes = tuple(sorted(p.size for p in P))
+    return PartitionShape(sizes, next(p.size for p in P if special in p.labels))
 
 
 def parse_partition(text: str, m: int) -> FourPartition:

@@ -14,7 +14,6 @@ from fcone.combinat import Subset, enumerate_four_partitions
 from fcone.kmaps import (
     MAX_KEY_LABELS,
     BoundaryCombo,
-    ChsVerdict,
     KDivisor,
     beta_degrees,
     boundary_keys,
@@ -213,18 +212,18 @@ class TestChsAmple:
     def test_first_lemma_verified(self):
         H = BoundaryCombo.of(4, {4: 1}).to_divisor(K=True)
         decision = chs_ample(H)
-        assert decision.verdict is ChsVerdict.HOLDS
+        assert decision.verdict is Verdict.POSITIVE
         assert decision.alpha.verdict is Verdict.POSITIVE
         assert dict(decision.beta) == {i: Fraction(-6) for i in range(1, 5)}
 
     def test_second_lemma_verified(self):
         D = BoundaryCombo.of(5, {2: "1/4", 4: "1/4", 5: 1}).to_divisor()
         decision = chs_ample(canonical_class(5) + D)
-        assert decision.verdict is ChsVerdict.HOLDS
+        assert decision.verdict is Verdict.POSITIVE
 
     def test_canonical_alone_refuted_on_the_curve_side(self):
         decision = chs_ample(canonical_class(4))
-        assert decision.verdict is ChsVerdict.FAILS
+        assert decision.verdict is Verdict.NOT_POSITIVE
         assert dict(decision.beta) == {i: Fraction(-5) for i in range(1, 5)}  # all < 0, fine
         assert decision.alpha.witness_value == 0
 
@@ -241,7 +240,7 @@ class TestChsAmple:
         }
         H = canonical_class(7) + BoundaryCombo.of(7, combo).to_divisor()
         decision = chs_ample(H)
-        assert decision.verdict is ChsVerdict.UNDECIDED
+        assert decision.verdict is Verdict.POSITIVE_BUT_UNDECIDED
         assert decision.alpha.verdict is Verdict.POSITIVE_BUT_UNDECIDED
 
 

@@ -13,7 +13,7 @@ from oracle_lp import (
 )
 
 from fcone.combinat import enumerate_four_partitions
-from fcone.kmaps import BoundaryCombo, pullback_alpha
+from fcone.kmaps import BoundaryCombo, chs_ample, pullback_alpha
 from fcone.logfano import (
     Bounds,
     FeasibilityResult,
@@ -24,7 +24,7 @@ from fcone.logfano import (
     solve_feasibility,
     verify_witness,
 )
-from fcone.mcurves import f_curve_value
+from fcone.mcurves import Verdict, f_curve_value
 
 # the three binding constraints of the six-marked-point obstruction
 FORM_I = LinearForm.of(-1, {2: 3, 3: -1})
@@ -268,6 +268,23 @@ class TestVerifyWitness:
         if report.f_max < 0 and report.beta_degree < 0:
             assert report.verdict is WitnessVerdict.REFUTED
             assert "outside [0,1]" in report.reason
+
+    def test_line_section_refutation(self):
+        # every F-value is negative, but the line-section degree is 1
+        combo = {2: Fraction(-8, 3), 3: -6}
+        report = verify_witness(4, combo)
+        assert report.verdict is WitnessVerdict.REFUTED
+        assert report.reason == "line-section degree 1 is not < 0"
+        assert (report.f_min, report.f_max, report.beta_degree) == (-12, -3, 1)
+        decision = chs_ample(BoundaryCombo.of(4, combo).to_divisor(K=True))
+        assert decision.verdict is Verdict.NOT_POSITIVE
+        assert decision.alpha.verdict is Verdict.POSITIVE
+
+    def test_f_curve_reason_wins_when_both_pullbacks_fail(self):
+        report = verify_witness(4, {3: -6})
+        assert report.verdict is WitnessVerdict.REFUTED
+        assert (report.f_max, report.beta_degree) == (5, 1)
+        assert report.reason == "F-curve {1}|{2}|{3}|{4,5} meets the class in degree 5, not < 0"
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

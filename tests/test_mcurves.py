@@ -180,9 +180,9 @@ class TestFCurveValue:
 
 def reference_f_value(H, P):
     """The F-value read through ``coefficient``, term by term."""
-    I = P.parts[0]
-    return sum(coefficient(H, Subset(I.mask | X.mask, H.m)) for X in P.parts[1:]) - sum(
-        coefficient(H, part) for part in P.parts
+    I = P[0]
+    return sum(coefficient(H, Subset(I.mask | X.mask, H.m)) for X in P[1:]) - sum(
+        coefficient(H, part) for part in P
     )
 
 

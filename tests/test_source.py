@@ -16,6 +16,7 @@ import fcone
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "fcone"
 SCRIPTS_DIR = ROOT / "scripts"
+TESTS_DIR = ROOT / "tests"
 
 
 def _assert_statements(where: Path) -> list[str]:
@@ -94,6 +95,17 @@ def test_partition_records_built_only_by_their_enumerators():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _calls_outside(tree, builders)]
     assert not found, f"partition records built outside their enumerators: {found}"
+
+
+def test_linear_forms_built_only_by_of():
+    # LinearForm normalises nothing itself: ``of`` sorts its coefficients
+    # and drops the zeros, so every other construction goes through it
+    found = []
+    paths = [p for where in (PACKAGE_DIR, SCRIPTS_DIR, TESTS_DIR) for p in where.glob("*.py")]
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line, _ in _calls_outside(tree, {"LinearForm": "of"})]
+    assert not found, f"LinearForm built outside LinearForm.of: {found}"
 
 
 MODULES = ["fcone"] + sorted(f"fcone.{m.name}" for m in pkgutil.iter_modules(fcone.__path__))
