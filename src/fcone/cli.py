@@ -17,19 +17,9 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
-from .kmaps import (
-    MAX_KEY_LABELS,
-    BoundaryCombo,
-    KDivisor,
-    pullback_alpha,
-    pullback_beta,
-)
-from .logfano import (
-    Bounds,
-    WitnessVerdict,
-    search_witness,
-    verify_witness,
-)
+from .combinat import MAX_KEY_LABELS
+from .kmaps import BoundaryCombo, KDivisor, pullback_alpha, pullback_beta
+from .logfano import Bounds, WitnessVerdict, search_witness, verify_witness
 from .mcurves import MDivisor, Verdict, f_positivity
 from .rationals import json_coeffs, parse_rational
 from .strata import phi_divisor_map
@@ -179,8 +169,6 @@ def _witness_lines(report) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 3:
-        raise CliError(f"--n must be >= 3, got {args.n}")
     combo = parse_combo_spec(args.combo, args.n)
     report = verify_witness(args.n, combo)
     return _emit(
@@ -194,8 +182,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n < 3:
-        raise CliError(f"--n must be >= 3, got {args.n}")
     bounds = parse_bounds_spec(args.bounds) if args.bounds else None
     outcome = search_witness(args.n, bounds)
     feas = outcome.feasibility
@@ -241,6 +227,8 @@ def cmd_fcurves(args) -> int:
 
 def _divisor_from_args(args) -> KDivisor:
     if args.divisor:
+        if args.n is not None or args.K or args.combo:
+            raise CliError("--divisor FILE takes no --n, --K or --combo")
         return _load_divisor(args.divisor, KDivisor)
     if args.n is None:
         raise CliError("need --divisor FILE or --n N (with optional --K/--combo)")
@@ -265,8 +253,6 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    if args.n < 2:
-        raise CliError(f"--n must be >= 2, got {args.n}")
     corr = phi_divisor_map(args.n)
 
     def result() -> dict:

@@ -39,7 +39,6 @@ __all__ = [
     "KDivisor",
     "BoundaryCombo",
     "ChsDecision",
-    "MAX_KEY_LABELS",
     "boundary_keys",
     "canonical_class",
     "pullback_alpha",

@@ -423,14 +423,20 @@ class WitnessReport:
     making the pair coefficients sub-boundary.
     """
 
-    n: int
     combo: BoundaryCombo
     verdict: WitnessVerdict
     reason: str | None
     f_min: Fraction
     f_max: Fraction
     beta_degree: Fraction
-    klt_note: bool
+
+    @property
+    def n(self) -> int:
+        return self.combo.n
+
+    @property
+    def klt_note(self) -> bool:
+        return self.verdict is WitnessVerdict.VERIFIED
 
     def to_json_dict(self) -> dict:
         return {
@@ -505,16 +511,7 @@ def verify_witness(
             f"all inequalities hold but {n + 1} markings exceed the range "
             "where F-positivity is known to decide ampleness"
         )
-    return WitnessReport(
-        n=n,
-        combo=combo,
-        verdict=verdict,
-        reason=reason,
-        f_min=f_min,
-        f_max=f_max,
-        beta_degree=beta,
-        klt_note=verdict is WitnessVerdict.VERIFIED,
-    )
+    return WitnessReport(combo, verdict, reason, f_min, f_max, beta)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, TypeVar, Union
 
+__all__ = ["as_rational", "parse_rational"]
+
 RationalLike = Union[Fraction, int, str]
 Key = TypeVar("Key", bound=Hashable)
 

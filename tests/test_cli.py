@@ -93,10 +93,6 @@ class TestVerifyCommand:
         assert report["result"]["beta_degree"] == "-6"
         assert report["exit"] == 0
 
-    def test_small_n_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "2", "--combo", "a2=1")
-        assert code == EXIT_USAGE and "error" in err
-
     def test_bad_rational_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "4", "--combo", "a4=x")
         assert code == EXIT_USAGE
@@ -193,6 +189,15 @@ class TestPullbackCommand:
         path.write_text(json.dumps({"n": 4, "K": True, "a": {"4": "1"}}))
         code, out, _ = run(capsys, "pullback", "beta", "--divisor", str(path))
         assert code == EXIT_OK and out.count("-6") == 4
+
+    @pytest.mark.parametrize("flag", [("--n", "9"), ("--K",), ("--combo", "a2=5")])
+    def test_divisor_file_takes_no_other_class_flags(self, tmp_path, capsys, flag):
+        # the file fixes the class, so a flag that would also set it is refused
+        path = tmp_path / "divisor.json"
+        path.write_text(json.dumps({"n": 4, "K": True, "a": {"4": "1"}}))
+        code, out, err = run(capsys, "pullback", "beta", "--divisor", str(path), *flag)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "fcone: error: --divisor FILE takes no --n, --K or --combo\n"
 
     def test_empty_divisor_usage_error(self, capsys):
         code, _, _ = run(capsys, "pullback", "alpha", "--n", "4")
@@ -632,6 +637,21 @@ class TestLemmasCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--n", "2", "--combo", "a2=1"], "witness verification needs n >= 3, got 2"),
+            (["search", "--n", "2"], "constraint generation needs n >= 3, got 2"),
+            (["search", "--n", "2", "--bounds", "a2>=0"], "constraint generation needs n >= 3, got 2"),
+            (["strata", "--n", "1"], "no boundary keys on n=1 < 2"),
+        ],
+        ids=["verify", "search", "search-bounds", "strata"],
+    )
+    def test_small_n_usage_error(self, capsys, argv, message):
+        # the library's own rule on n reaches the user as one usage error
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"fcone: error: {message}\n")
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
