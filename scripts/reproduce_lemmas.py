@@ -8,23 +8,21 @@ import sys
 from fractions import Fraction
 
 from fcone.combinat import enumerate_four_partitions, enumerate_shapes
-from fcone.kmaps import BoundaryCombo, pullback_alpha
+from fcone.kmaps import pullback_alpha
 from fcone.logfano import Bounds, generate_constraints, solve_feasibility, verify_witness
 from fcone.mcurves import f_curve_value
 
 
-def show_witness(n, combo):
-    combo = BoundaryCombo.of(n, combo)
-    print(f"== n={n}: boundary {combo} ==")
-    H = combo.to_divisor(K=True)
-    pulled = pullback_alpha(H)
+def show_witness(n, coefficients):
+    report = verify_witness(n, coefficients)
+    print(f"== n={n}: boundary {report.combo} ==")
+    pulled = pullback_alpha(report.combo.to_divisor(K=True))
     print("curve-side pullback coefficients (canonical keys):")
     for S in pulled.support():
         print(f"    {{{S}}} -> {pulled.coeffs[S]}")
     print("intersection with one F-curve per orbit shape:")
     for sh, rep in enumerate_shapes(n + 1, special=n + 1):
         print(f"    {rep}  (shape {sh})  ->  {f_curve_value(pulled, rep)}")
-    report = verify_witness(n, combo)
     total = sum(1 for _ in enumerate_four_partitions(n + 1))
     print(f"full scan over {total} F-curves: values in "
           f"[{report.f_min}, {report.f_max}]")

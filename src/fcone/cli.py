@@ -4,13 +4,14 @@ exact "p/q" strings, and exit codes carry the verdict:
     0  verified / feasible
     1  refuted / infeasible
     2  inequalities pass but the marking count exceeds the decidable range
-    3+ usage, parse, or data errors
+    3+ usage, parse, or data errors, and a closed stdout
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from importlib import resources
@@ -38,10 +39,10 @@ class CliError(Exception):
     """A usage, parse or data error; ``main`` prints it and exits 3."""
 
 
-def _parse_spec(text: str, kind: str, relations: tuple[str, ...], duplicate: str, build):
-    """``build`` applied to {(s, relation): rational}, read from the
-    comma-separated tokens of ``text``. ``duplicate`` formats the message for
-    a repeated (s, relation); every error is a ``CliError``."""
+def _parse_spec(text: str, kind: str, relations: tuple[str, ...], duplicate: str) -> dict:
+    """{(s, relation): rational}, read from the comma-separated tokens of
+    ``text``. ``duplicate`` formats the message for a repeated
+    (s, relation); every error is a ``CliError``."""
     values = {}
     text = text.strip()
     try:
@@ -55,28 +56,23 @@ def _parse_spec(text: str, kind: str, relations: tuple[str, ...], duplicate: str
                 if key in values:
                     raise CliError(duplicate.format(*key))
                 values[key] = parse_rational(match[3])
-        return build(values)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    return values
 
 
-def parse_combo_spec(text: str, n: int) -> BoundaryCombo:
-    """Parse "a4=1,a2=1/4" (the leading 'a' is optional)."""
-    return _parse_spec(
-        text, "combo", ("=",), "duplicate coefficient for a{0}",
-        lambda values: BoundaryCombo.of(n, {s: q for (s, _), q in values.items()}),
-    )
+def parse_combo_spec(text: str) -> dict:
+    """Parse "a4=1,a2=1/4" (the leading 'a' is optional) into {s: a_s};
+    ``BoundaryCombo`` checks which a_s exist."""
+    values = _parse_spec(text, "combo", ("=",), "duplicate coefficient for a{0}")
+    return {s: q for (s, _), q in values.items()}
 
 
 def parse_bounds_spec(text: str) -> Bounds:
     """Parse "a4>=0,a6<=1" into one-sided bounds."""
     sides = (">=", "<=")
-    return _parse_spec(
-        text, "bound", sides, "duplicate {1} bound for a{0}",
-        lambda values: Bounds.of(
-            *({s: q for (s, rel), q in values.items() if rel == side} for side in sides)
-        ),
-    )
+    values = _parse_spec(text, "bound", sides, "duplicate {1} bound for a{0}")
+    return Bounds.of(*({s: q for (s, rel), q in values.items() if rel == side} for side in sides))
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -96,11 +92,11 @@ def _json_text(obj, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
-def _emit(args, command: str, inputs: dict, code: int, result, text) -> int:
+def _emit(args, inputs: dict, code: int, result, text) -> int:
     """Print the run report under ``--json``, else the text. ``result`` and
     ``text`` are callables, so only the printed format is built."""
     if args.json:
-        report = {"command": command, "inputs": inputs, "result": result(), "exit": code}
+        report = {"command": args.command, "inputs": inputs, "result": result(), "exit": code}
         print(_json_text(report))
     else:
         out = text()
@@ -169,11 +165,9 @@ def _witness_lines(report) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    combo = parse_combo_spec(args.combo, args.n)
-    report = verify_witness(args.n, combo)
+    report = verify_witness(args.n, parse_combo_spec(args.combo))
     return _emit(
         args,
-        "verify",
         {"n": args.n, "combo": args.combo},
         VERDICT_EXIT[report.verdict],
         report.to_json_dict,
@@ -202,9 +196,7 @@ def cmd_search(args) -> int:
         return "\n".join(lines)
 
     code = VERDICT_EXIT[outcome.report.verdict] if feas.feasible else EXIT_REFUTED
-    return _emit(
-        args, "search", {"n": args.n, "bounds": args.bounds}, code, outcome.to_json_dict, text
-    )
+    return _emit(args, {"n": args.n, "bounds": args.bounds}, code, outcome.to_json_dict, text)
 
 
 def cmd_fcurves(args) -> int:
@@ -222,7 +214,7 @@ def cmd_fcurves(args) -> int:
 
     inputs = {"divisor": args.divisor, "sense": args.sense}
     code = VERDICT_EXIT[decision.verdict]
-    return _emit(args, "fcurves", inputs, code, decision.to_json_dict, text)
+    return _emit(args, inputs, code, decision.to_json_dict, text)
 
 
 def _divisor_from_args(args) -> KDivisor:
@@ -236,7 +228,7 @@ def _divisor_from_args(args) -> KDivisor:
         raise CliError("empty divisor: pass --K and/or --combo")
     if args.K:
         KDivisor(args.n, {}, {})  # K_n's own errors on n win over the combo's
-    return parse_combo_spec(args.combo, args.n).to_divisor(args.K)
+    return BoundaryCombo.of(args.n, parse_combo_spec(args.combo)).to_divisor(args.K)
 
 
 def cmd_pullback(args) -> int:
@@ -249,7 +241,7 @@ def cmd_pullback(args) -> int:
         result = {"degrees": degrees}
         text = lambda: "\n".join(f"beta_{i}: {d}" for i, d in degrees.items())
     inputs = {"direction": args.direction, "divisor": args.divisor, "n": args.n}
-    return _emit(args, "pullback", inputs, EXIT_OK, lambda: result, text)
+    return _emit(args, inputs, EXIT_OK, lambda: result, text)
 
 
 def cmd_strata(args) -> int:
@@ -259,7 +251,7 @@ def cmd_strata(args) -> int:
         pairs = [{"delta": str(d), "b": str(b)} for d, b in corr.pairs]
         return {"n": corr.n, "pairs": pairs, "count": len(pairs)}
 
-    return _emit(args, "strata", {"n": args.n}, EXIT_OK, result, corr.to_tsv)
+    return _emit(args, {"n": args.n}, EXIT_OK, result, corr.to_tsv)
 
 
 def _default_expectations() -> str:
@@ -300,7 +292,7 @@ def cmd_lemmas(args) -> int:
 
     for combo, want in witnesses:
         n = combo.n
-        report = verify_witness(n, combo)
+        report = verify_witness(n, dict(combo.a))
         got = details[f"witness_{n}"] = report.to_json_dict()
         for field, value in want.items():
             if got[field] != value:
@@ -335,7 +327,6 @@ def cmd_lemmas(args) -> int:
         lines += [f"  {m}" for m in mismatches]
     return _emit(
         args,
-        "lemmas",
         {"expectations": args.expectations or "packaged"},
         EXIT_OK if not mismatches else EXIT_REFUTED,
         lambda: {
@@ -404,7 +395,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point fd 1 at devnull so the flush at exit cannot raise again; stderr
+        # may be the same closed pipe, so nothing is printed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (CliError, ValueError) as exc:
         print(f"fcone: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,7 +43,6 @@ __all__ = [
     "canonical_class",
     "pullback_alpha",
     "pullback_beta",
-    "beta_degrees",
     "chs_ample",
 ]
 
@@ -194,10 +193,6 @@ def pullback_beta(H: KDivisor, i: int) -> Fraction:
     return deg
 
 
-def beta_degrees(H: KDivisor) -> tuple[tuple[int, Fraction], ...]:
-    return tuple((i, pullback_beta(H, i)) for i in range(1, H.n + 1))
-
-
 @dataclass(frozen=True)
 class ChsDecision:
     """Certificate of the two-pullback anti-ampleness test: the curve-side
@@ -224,6 +219,6 @@ def chs_ample(H: KDivisor) -> ChsDecision:
     """
     A = pullback_alpha(H)
     alpha = f_positivity(A, "negative")
-    degrees = beta_degrees(H)
+    degrees = tuple((i, pullback_beta(H, i)) for i in range(1, H.n + 1))
     verdict = Verdict.NOT_POSITIVE if any(not d < 0 for _, d in degrees) else alpha.verdict
     return ChsDecision(verdict, alpha, degrees, A)

@@ -451,28 +451,19 @@ class WitnessReport:
         }
 
 
-def _as_combo(n: int, combo: BoundaryCombo | Mapping[int, RationalLike]) -> BoundaryCombo:
-    if isinstance(combo, BoundaryCombo):
-        if combo.n != n:
-            raise ValueError(f"combo is on n={combo.n}, expected {n}")
-        return combo
-    return BoundaryCombo.of(n, combo)
-
-
-def verify_witness(
-    n: int, combo: BoundaryCombo | Mapping[int, RationalLike]
-) -> WitnessReport:
-    """Check a candidate boundary by scanning every F-curve (never the
-    reduced system) and every line-section degree.
+def verify_witness(n: int, coefficients: Mapping[int, RationalLike]) -> WitnessReport:
+    """Check the candidate boundary sum a_s B[s] on n markings, ``coefficients``
+    mapping each s to a_s, by scanning every F-curve (never the reduced
+    system) and every line-section degree.
 
     It scans twice, ``chs_ample`` and then a full scan for ``f_min``/``f_max``:
     one pass could give both, but the benchmark's self-test pins the calls of
     two scans. The second scan reads the pulled-back class ``chs_ample``
     scanned, so it reuses that class's mask table and shared F-values, and
     it compares integer cross-products, not Fractions."""
+    combo = BoundaryCombo.of(n, coefficients)  # its rules on n and each a_s come first
     if n < 3:
         raise ValueError(f"witness verification needs n >= 3, got {n}")
-    combo = _as_combo(n, combo)
     decision = chs_ample(combo.to_divisor(K=True))
 
     A = decision.curve_class
@@ -546,8 +537,7 @@ def search_witness(n: int, bounds: Bounds | None = None) -> SearchOutcome:
     feas = solve_feasibility(forms, bounds)
     if not feas.feasible:
         return SearchOutcome(feas, None)
-    combo = BoundaryCombo.of(n, {s: q for s, q in feas.point.items() if q})
-    report = verify_witness(n, combo)
+    report = verify_witness(n, feas.point)
     if report.verdict is WitnessVerdict.REFUTED and not (
         report.f_max < 0 and report.beta_degree < 0
     ):

@@ -4,11 +4,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fcone
 from fcone.cli import (
     EXIT_OK,
     EXIT_REFUTED,
@@ -46,12 +51,10 @@ def test_every_verdict_has_the_readme_exit_code():
 
 class TestParsers:
     def test_combo_spec(self):
-        combo = parse_combo_spec("a4=1,a2=1/4", 5)
-        levels = dict(combo.a)
-        assert levels[4] == 1 and levels[2].denominator == 4
+        assert parse_combo_spec("a4=1,a2=1/4") == {4: 1, 2: Fraction(1, 4)}
 
     def test_combo_spec_without_prefix(self):
-        assert dict(parse_combo_spec("4=1", 4).a)[4] == 1
+        assert parse_combo_spec("4=1") == {4: 1}
 
     def test_bounds_spec(self):
         bounds = parse_bounds_spec("a4>=0,a6<=1")
@@ -67,11 +70,11 @@ class TestParsers:
         from fcone.cli import CliError
 
         with pytest.raises(CliError):
-            parse_combo_spec("a4:1", 5)
+            parse_combo_spec("a4:1")
         with pytest.raises(CliError):
             parse_bounds_spec("a4=0")
         with pytest.raises(CliError):
-            parse_combo_spec("a4=0.5", 5)  # decimals are not exact input
+            parse_combo_spec("a4=0.5")  # decimals are not exact input
 
 
 class TestVerifyCommand:
@@ -651,6 +654,35 @@ class TestUsageErrors:
         # the library's own rule on n reaches the user as one usage error
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (EXIT_USAGE, "", f"fcone: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--n", "5", "--combo", "a7=1"], "B[7] does not exist on n=5"),
+            (["verify", "--n", "0", "--combo", "a2=1"], "n must be >= 1, got 0"),
+            (["verify", "--n", "2", "--combo", "a5=1"], "B[5] does not exist on n=2"),
+        ],
+        ids=["size-above-n", "n-below-one", "size-above-small-n"],
+    )
+    def test_combo_rules_reach_verify(self, capsys, argv, message):
+        # BoundaryCombo's rules on n and on each a_s come before the
+        # verifier's own n >= 3
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"fcone: error: {message}\n")
+
+    def test_closed_stdout_exits_three_quietly(self):
+        # a reader that stops early (``| head -1``) closes the pipe mid-print
+        env = dict(os.environ, PYTHONPATH=str(Path(fcone.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fcone.cli", "strata", "--n", "14"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"S\tDeltaKey\tBKey\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=300), err) == (EXIT_USAGE, b"")
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE

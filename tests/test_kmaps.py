@@ -15,7 +15,6 @@ from fcone.kmaps import (
     MAX_KEY_LABELS,
     BoundaryCombo,
     KDivisor,
-    beta_degrees,
     boundary_keys,
     canonical_class,
     chs_ample,
@@ -189,7 +188,7 @@ class TestPullbackBeta:
     @settings(max_examples=50)
     def test_symmetric_divisors_have_constant_degree(self, a, c):
         H = scaled_class(c, canonical_class(5)) + BoundaryCombo.of(5, a).to_divisor()
-        degrees = {d for _, d in beta_degrees(H)}
+        degrees = {d for _, d in chs_ample(H).beta}
         assert len(degrees) == 1
         expected = -c * 7 - Fraction(a.get(5, 0)) - Fraction(a.get(4, 0))
         assert degrees == {expected}

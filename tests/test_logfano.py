@@ -290,12 +290,6 @@ class TestVerifyWitness:
         with pytest.raises(ValueError):
             verify_witness(2, {2: 1})
 
-    def test_accepts_boundary_combo_instance(self):
-        combo = BoundaryCombo.of(4, {4: 1})
-        assert verify_witness(4, combo).verdict is WitnessVerdict.VERIFIED
-        with pytest.raises(ValueError):
-            verify_witness(5, combo)
-
     def test_extremes_match_fraction_min_max(self):
         # mixed denominators and negative coefficients, on 5..8 markings
         rng = random.Random(14)
@@ -307,7 +301,7 @@ class TestVerifyWitness:
                 })
                 A = pullback_alpha(combo.to_divisor(K=True))
                 values = [f_curve_value(A, P) for P in enumerate_four_partitions(n + 1)]
-                report = verify_witness(n, combo)
+                report = verify_witness(n, dict(combo.a))
                 assert (report.f_min, report.f_max) == (min(values), max(values))
 
     def test_scans_compare_no_fractions_per_partition(self, monkeypatch):
