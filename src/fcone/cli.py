@@ -4,7 +4,7 @@ exact "p/q" strings, and exit codes carry the verdict:
     0  verified / feasible
     1  refuted / infeasible
     2  inequalities pass but the marking count exceeds the decidable range
-    3+ usage, parse, or data errors, and a closed stdout
+    3+ usage, parse, or data errors, and a closed stdout or stderr
 """
 
 from __future__ import annotations
@@ -394,17 +394,20 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-        return code
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+            return code
+        except (CliError, ValueError) as exc:
+            print(f"fcone: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     except BrokenPipeError:
-        # point fd 1 at devnull so the flush at exit cannot raise again; stderr
-        # may be the same closed pipe, so nothing is printed
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_USAGE
-    except (CliError, ValueError) as exc:
-        print(f"fcone: error: {exc}", file=sys.stderr)
+        # point fds 1 and 2 at devnull so the flushes at exit cannot raise
+        # again; either may be the closed pipe, so nothing is printed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            os.dup2(devnull, stream.fileno())
         return EXIT_USAGE
 
 

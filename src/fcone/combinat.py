@@ -110,7 +110,7 @@ def canonical_key(S: Subset) -> Subset:
     """
     size = S.mask.bit_count()
     if size == 0 or size == S.m:
-        raise ValueError("empty or full subset cannot be a divisor key")
+        raise ValueError(f"empty or full key {{{S}}} on m={S.m} is not a divisor class")
     if 2 * size < S.m or (2 * size == S.m and S.mask & 1):
         return S
     return S.complement()
@@ -214,30 +214,19 @@ def enumerate_shapes(m: int, special: int) -> list[tuple[PartitionShape, FourPar
     """Distinct shapes with one representative each, in order of first
     occurrence along ``enumerate_four_partitions``.
 
-    This walks all S(m, 4) partitions on purpose. The constraint generator
-    writes the same shape order in closed form, and its tests compare it
-    with this walk, which defines the order by first occurrence; the walk
-    also hands out each representative as an actual partition of the scan.
+    This walks all S(m, 4) partitions on purpose and builds one shape record
+    per partition. The constraint generator writes the same shape order in
+    closed form, and its tests compare it with this walk, which defines the
+    order by first occurrence; the walk also hands out each representative
+    as an actual partition of the scan. Its callers are the bench self-test
+    (m = 7), ``scripts/reproduce_lemmas.py`` (m = 5, 6) and the tests (m up
+    to 10).
     """
     if not 1 <= special <= m:
         raise ValueError(f"special label {special} out of range 1..{m}")
-    # key: the block sizes in block order, then the size of the block holding
-    # the special bit; a shape is built once per new key
     bit = 1 << special - 1
-    shapes: dict[tuple[int, ...], PartitionShape] = {}
     reps: dict[PartitionShape, FourPartition] = {}
     for P in enumerate_four_partitions(m):
-        A, B, C, D = P
-        a, b, c, d = A.mask, B.mask, C.mask, D.mask
-        key = (
-            a.bit_count(),
-            b.bit_count(),
-            c.bit_count(),
-            d.bit_count(),
-            (a if a & bit else b if b & bit else c if c & bit else d).bit_count(),
-        )
-        if key not in shapes:
-            sh = shapes[key] = PartitionShape(tuple(sorted(key[:4])), key[4])
-            if sh not in reps:
-                reps[sh] = P
+        (held,) = [S.size for S in P if S.mask & bit]
+        reps.setdefault(PartitionShape(tuple(sorted([S.size for S in P])), held), P)
     return list(reps.items())

@@ -90,7 +90,7 @@ class KDivisor(Linear):
     def _b_key(self, key: Subset | Iterable[int]) -> Subset:
         S = Subset.of(key, self.n)
         if S.size < 2:
-            raise ValueError(f"B-key needs |S| >= 2, got {S!r}")
+            raise ValueError(f"B-key needs |S| >= 2, got {{{S}}}")
         return S
 
     def b_coefficient(self, key: Subset | Iterable[int]) -> Fraction:

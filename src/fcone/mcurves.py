@@ -68,11 +68,10 @@ class MDivisor(Linear):
 
     def _key(self, key: KeyLike) -> Subset:
         S = Subset.of(key, self.m)
-        if S.size == 0 or S.size == S.m:
-            raise ValueError(f"empty or full key {S!r} is not a divisor class")
+        canon = canonical_key(S)  # refuses the empty and the full key
         if S.size >= 2 and self.m < 4:
             raise ValueError(f"boundary key {S} needs m >= 4")
-        return canonical_key(S)
+        return canon
 
     def support(self) -> list[Subset]:
         return sorted(self.coeffs, key=Subset.sort_key)
@@ -213,8 +212,6 @@ def f_positivity(
     Partitions are consumed as they are enumerated, so unless
     ``all_witnesses`` is set the scan stops at the first violation.
     """
-    if H.m < 4:
-        raise ValueError(f"no F-curves on m={H.m} < 4 markings")
     sign = _SIGN.get(sense)
     if sign is None:
         raise ValueError(f"unknown sense {sense!r}")

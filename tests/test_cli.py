@@ -684,6 +684,54 @@ class TestUsageErrors:
         proc.stderr.close()
         assert (proc.wait(timeout=300), err) == (EXIT_USAGE, b"")
 
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (
+                ["fcurves"],
+                {"m": 3, "psi": {"1": "1"}},
+                "no four-block partitions of 3 < 4 labels",
+            ),
+            (
+                ["fcurves"],
+                {"m": 4, "delta": {"1,2,3,4": "1"}},
+                "bad divisor file: empty or full key {1,2,3,4} on m=4 is not a divisor class",
+            ),
+            (
+                ["fcurves"],
+                {"m": 4, "delta": {"": "1"}},
+                "bad divisor file: empty or full key {} on m=4 is not a divisor class",
+            ),
+            (
+                ["pullback", "alpha"],
+                {"n": 4, "B": {"2": "1"}},
+                "bad divisor file: B-key needs |S| >= 2, got {2}",
+            ),
+        ],
+        ids=["fcurves-m3", "fcurves-full-key", "fcurves-empty-key", "pullback-b-singleton"],
+    )
+    def test_key_and_size_rules_name_labels(self, tmp_path, capsys, argv, data, message):
+        # each rule on keys and on m is stated once, and its message names
+        # keys by their labels
+        path = tmp_path / "divisor.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, "--divisor", str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"fcone: error: {message}\n")
+
+    def test_closed_stderr_exits_three(self):
+        # a usage error printed to a stderr pipe whose reader has gone
+        env = dict(os.environ, PYTHONPATH=str(Path(fcone.__file__).resolve().parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fcone.cli", "verify", "--n", "0", "--combo", "a2=1"],
+                stdout=subprocess.DEVNULL, stderr=write_end, env=env, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_USAGE
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
