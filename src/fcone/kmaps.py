@@ -115,6 +115,7 @@ class KDivisor(Linear):
                 raise ValueError(f"KDivisor JSON 'K' must be true or false, got {K!r}")
             combo = BoundaryCombo(n, tuple((int(s), q) for s, q in json_coeffs(data, "a")))
             return combo.to_divisor(K)
+        _check_key_labels(n)  # before any B-key, whose parse costs O(n)
         return cls(
             n,
             sum_by_key((int(i), q) for i, q in json_coeffs(data, "L")),

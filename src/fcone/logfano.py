@@ -260,15 +260,16 @@ class _Row:
     origin: tuple
 
 
-def _input_row(idx: int, form: LinearForm, column: Mapping[int, int]) -> _Row:
-    # the form scaled to a primitive integer row; zeros add to no lcm or gcd
+def _input_row(idx: int, form: LinearForm, column: Mapping[int, int]) -> tuple:
+    # coeffs, const, strict and origin of the form scaled to a primitive
+    # integer row; zeros add to no lcm or gcd
     values = [q for _, q in form.coeffs] + [form.constant]
     denom = lcm(*(v.denominator for v in values))
     scale = Fraction(denom, gcd(*(v.numerator * denom // v.denominator for v in values)) or 1)
     coeffs = [0] * len(column)
     for s, q in form.coeffs:
         coeffs[column[s]] = int(q * scale)
-    return _Row(tuple(coeffs), int(form.constant * scale), form.strict, (idx, scale))
+    return tuple(coeffs), int(form.constant * scale), form.strict, (idx, scale)
 
 
 def _multipliers(row: _Row) -> dict[int, Fraction]:
@@ -284,21 +285,6 @@ def _multipliers(row: _Row) -> dict[int, Fraction]:
     )
 
 
-def _is_contradiction(coeffs: tuple[int, ...], const: int, strict: bool) -> bool:
-    return not any(coeffs) and (const > 0 or (const == 0 and strict))
-
-
-def _replaces(held: _Row | None, const: int, strict: bool) -> bool:
-    # for identical primitive coefficient vectors, the larger constant wins,
-    # a strict relation breaking the tie (e + c < 0 implies e + c' <= 0 for
-    # any c' <= c)
-    return (
-        held is None
-        or const > held.const
-        or (const == held.const and strict and not held.strict)
-    )
-
-
 def solve_feasibility(
     forms: Sequence[LinearForm], bounds: Bounds | None = None
 ) -> FeasibilityResult:
@@ -307,29 +293,58 @@ def solve_feasibility(
     Every working row is a dense primitive integer tuple, one entry per
     sorted variable, and is its own table key. Eliminating column x from
     rows p (entry b > 0) and q (entry -a < 0) forms a*p + b*q entry by
-    entry, column x cancelling, and divides out the gcd. Each kept row
-    records its two parent rows and those weights; only a contradicting row
-    has its derivation unwound into nonnegative multipliers on the input
-    forms. Among rows with the same coefficient vector only the strongest
-    is kept; the variable eliminated next is the one producing the fewest
-    combination rows. Back-substitution picks a rational point strictly
-    inside every strict bound, and both certificates are re-checked by
-    substitution before they are returned.
+    entry, column x cancelling, and divides out the gcd. Every row, input
+    or combined, passes one admission rule: a contradiction stops the
+    elimination, a constant row that holds is dropped, and any other row is
+    kept, with its two parent rows and their weights, if it is the strongest
+    for its coefficient vector. The variable eliminated next is the one
+    producing the fewest combination rows. One exit builds the result, the
+    contradiction's derivation unwound into nonnegative multipliers on the
+    input forms or a back-substituted rational point strictly inside every
+    strict bound, and re-checks it by substitution before returning it.
     """
     eff = tuple(forms) + (bounds.forms() if bounds is not None else ())
     variables = sorted({s for f in eff for s, _ in f.coeffs})
+    contradiction, stages = _eliminate(eff, variables)
+    if contradiction is None:
+        values = [Fraction(0)] * len(variables)
+        for x, rows in reversed(stages):
+            values[x] = _pick_value(x, rows, values)
+        result = FeasibilityResult(eff, point=dict(zip(variables, values)))
+    else:
+        lam = _multipliers(contradiction)
+        multipliers = tuple(lam.get(i, Fraction(0)) for i in range(len(eff)))
+        result = FeasibilityResult(eff, multipliers=multipliers)
+    if not result.check():
+        what = "solver point" if result.feasible else "derived infeasibility certificate"
+        raise RuntimeError(f"{what} failed to validate")
+    return result
+
+
+def _eliminate(eff: Sequence[LinearForm], variables: Sequence[int]) -> tuple:
+    # the first row that contradicts, else None; and each eliminated column
+    # with the rows that bounded it, in elimination order
     column = {s: j for j, s in enumerate(variables)}
-
     table: dict[tuple[int, ...], _Row] = {}
-    for idx, f in enumerate(eff):
-        row = _input_row(idx, f, column)
-        if _is_contradiction(row.coeffs, row.const, row.strict):
-            return _infeasible(eff, row)
-        if any(row.coeffs) and _replaces(table.get(row.coeffs), row.const, row.strict):
-            table[row.coeffs] = row
 
-    remaining = list(range(len(variables)))
+    def admit(coeffs: tuple[int, ...], const: int, strict: bool, origin: tuple) -> _Row | None:
+        # a row is stronger than another with its coefficient vector when its
+        # (constant, strict) pair is larger, as e + c < 0 implies e + c' <= 0
+        # for any c' <= c; the strongest is kept, and a constant row stronger
+        # than 0 <= 0 is a contradiction, returned as the certificate row
+        if any(coeffs):
+            held = table.get(coeffs)
+            if held is None or (const, strict) > (held.const, held.strict):
+                table[coeffs] = _Row(coeffs, const, strict, origin)
+        elif (const, strict) > (0, False):
+            return _Row(coeffs, const, strict, origin)
+        return None
+
     stages: list[tuple[int, list[_Row]]] = []
+    for idx, f in enumerate(eff):
+        if row := admit(*_input_row(idx, f, column)):
+            return row, stages
+    remaining = list(range(len(variables)))
     while remaining:
         rows = list(table.values())
 
@@ -338,7 +353,7 @@ def solve_feasibility(
             nneg = sum(1 for r in rows if r.coeffs[x] < 0)
             return npos * nneg - npos - nneg
 
-        x = min(remaining, key=lambda j: (fill(j), j))
+        x = min(remaining, key=fill)
         remaining.remove(x)
         pos = [r for r in rows if r.coeffs[x] > 0]
         neg = [r for r in rows if r.coeffs[x] < 0]
@@ -350,35 +365,15 @@ def solve_feasibility(
                 a = -q.coeffs[x]
                 coeffs = tuple(a * c + b * e for c, e in zip(p.coeffs, q.coeffs))
                 const = a * p.const + b * q.const
-                strict = p.strict or q.strict
                 g = gcd(const, *coeffs)
                 if g > 1:
                     coeffs = tuple(c // g for c in coeffs)
                     const //= g
-                if _is_contradiction(coeffs, const, strict):
-                    # an all-zero combination (g == 0) stays undivided, as
-                    # p/b + q/a, which puts a*b into the denominator instead
-                    origin = (p, q, a, b, g or a * b)
-                    return _infeasible(eff, _Row(coeffs, const, strict, origin))
-                if any(coeffs) and _replaces(table.get(coeffs), const, strict):
-                    table[coeffs] = _Row(coeffs, const, strict, (p, q, a, b, g))
-
-    values = [Fraction(0)] * len(variables)
-    for x, rows in reversed(stages):
-        values[x] = _pick_value(x, rows, values)
-    result = FeasibilityResult(eff, point=dict(zip(variables, values)))
-    if not result.check():
-        raise RuntimeError("solver point failed to validate")
-    return result
-
-
-def _infeasible(eff: tuple[LinearForm, ...], row: _Row) -> FeasibilityResult:
-    lam = _multipliers(row)
-    multipliers = tuple(lam.get(i, Fraction(0)) for i in range(len(eff)))
-    result = FeasibilityResult(eff, multipliers=multipliers)
-    if not result.check():
-        raise RuntimeError("derived infeasibility certificate failed to validate")
-    return result
+                # an all-zero combination (g == 0) stays undivided, as
+                # p/b + q/a, which puts a*b into the denominator instead
+                if row := admit(coeffs, const, p.strict or q.strict, (p, q, a, b, g or a * b)):
+                    return row, stages
+    return None, stages
 
 
 def _pick_value(x: int, rows: Sequence[_Row], values: Sequence[Fraction]) -> Fraction:

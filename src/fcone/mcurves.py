@@ -50,6 +50,12 @@ FULTON_MAX_MARKINGS = 7
 KeyLike = Subset | Iterable[int]
 
 
+def _check_markings(m: int) -> None:
+    # a class's first F-value builds a table of 2^m entries (16 MiB at 21)
+    if m > MAX_KEY_LABELS + 1:
+        raise ValueError(f"m={m} exceeds {MAX_KEY_LABELS + 1}, the most markings a pullback makes")
+
+
 @dataclass(frozen=True)
 class MDivisor(Linear):
     """Exact divisor class on the m-pointed space; treat as immutable."""
@@ -60,6 +66,7 @@ class MDivisor(Linear):
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        _check_markings(self.m)
         object.__setattr__(
             self,
             "coeffs",
@@ -70,7 +77,7 @@ class MDivisor(Linear):
         S = Subset.of(key, self.m)
         canon = canonical_key(S)  # refuses the empty and the full key
         if S.size >= 2 and self.m < 4:
-            raise ValueError(f"boundary key {S} needs m >= 4")
+            raise ValueError(f"boundary key {{{S}}} needs m >= 4")
         return canon
 
     def support(self) -> list[Subset]:
@@ -122,10 +129,7 @@ class MDivisor(Linear):
         m = data.get("m")
         if type(m) is not int:
             raise ValueError("MDivisor JSON needs an integer 'm'")
-        if m > MAX_KEY_LABELS + 1:
-            raise ValueError(
-                f"m={m} exceeds {MAX_KEY_LABELS + 1}, the most markings a pullback makes"
-            )
+        _check_markings(m)
         unknown = sorted(map(str, set(data) - {"m", "psi", "delta"}))
         if unknown:
             raise ValueError(f"MDivisor JSON has unknown fields {unknown}")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -24,7 +25,7 @@ from fcone.cli import (
     parse_bounds_spec,
     parse_combo_spec,
 )
-from fcone.kmaps import BoundaryCombo, canonical_class, pullback_alpha
+from fcone.kmaps import BoundaryCombo, KDivisor, canonical_class, pullback_alpha
 from fcone.logfano import WitnessVerdict
 from fcone.mcurves import MDivisor, Verdict
 
@@ -647,11 +648,13 @@ class TestUsageErrors:
             (["search", "--n", "2"], "constraint generation needs n >= 3, got 2"),
             (["search", "--n", "2", "--bounds", "a2>=0"], "constraint generation needs n >= 3, got 2"),
             (["strata", "--n", "1"], "no boundary keys on n=1 < 2"),
+            (["pullback", "alpha"], "need --divisor FILE or --n N (with optional --K/--combo)"),
         ],
-        ids=["verify", "search", "search-bounds", "strata"],
+        ids=["verify", "search", "search-bounds", "strata", "pullback-no-n"],
     )
     def test_small_n_usage_error(self, capsys, argv, message):
-        # the library's own rule on n reaches the user as one usage error
+        # the library's own rule on n, or the CLI's on a missing n, reaches
+        # the user as one usage error
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (EXIT_USAGE, "", f"fcone: error: {message}\n")
 
@@ -707,8 +710,25 @@ class TestUsageErrors:
                 {"n": 4, "B": {"2": "1"}},
                 "bad divisor file: B-key needs |S| >= 2, got {2}",
             ),
+            (
+                ["fcurves"],
+                {"m": 3, "delta": {"1,2": "1"}},
+                "bad divisor file: boundary key {1,2} needs m >= 4",
+            ),
+            (
+                ["pullback", "beta"],
+                {"n": 5, "L": {"9": "1"}},
+                "bad divisor file: L-label 9 out of range 1..5",
+            ),
         ],
-        ids=["fcurves-m3", "fcurves-full-key", "fcurves-empty-key", "pullback-b-singleton"],
+        ids=[
+            "fcurves-m3",
+            "fcurves-full-key",
+            "fcurves-empty-key",
+            "pullback-b-singleton",
+            "fcurves-boundary-key-m3",
+            "pullback-l-label",
+        ],
     )
     def test_key_and_size_rules_name_labels(self, tmp_path, capsys, argv, data, message):
         # each rule on keys and on m is stated once, and its message names
@@ -716,6 +736,13 @@ class TestUsageErrors:
         path = tmp_path / "divisor.json"
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, *argv, "--divisor", str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"fcone: error: {message}\n")
+
+    def test_divisor_file_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "divisor.json"
+        path.write_text("[]")
+        code, out, err = run(capsys, "fcurves", "--divisor", str(path))
+        message = f"JSON file {path} must hold an object"
         assert (code, out, err) == (EXIT_USAGE, "", f"fcone: error: {message}\n")
 
     def test_closed_stderr_exits_three(self):
@@ -743,19 +770,32 @@ class TestUsageErrors:
         # before anything of size n is built, so n = 10^9 is refused at once
         for n in ("30", "1000000", "1000000000"):
             K_file, a_file = tmp_path / "K.json", tmp_path / "a.json"
+            B_file = tmp_path / "B.json"
             K_file.write_text(f'{{"n": {n}, "K": true}}')
             a_file.write_text(f'{{"n": {n}, "a": {{}}}}')
+            B_file.write_text(f'{{"n": {n}, "B": {{"1,2": "1"}}}}')
             for argv in (
                 ("strata", "--n", n),
                 ("pullback", "beta", "--n", n, "--K"),
                 ("pullback", "beta", "--n", n, "--combo", "a2=1"),
                 ("pullback", "beta", "--divisor", str(K_file)),
                 ("pullback", "beta", "--divisor", str(a_file)),
+                ("pullback", "beta", "--divisor", str(B_file)),
                 ("verify", "--n", n, "--combo", "a2=1"),
             ):
                 code, out, err = run(capsys, *argv)
                 assert code == EXIT_USAGE and out == ""
                 assert f"2^{n} - {n} - 1 B-keys" in err
+        # a B-key's range check costs O(n) memory, so the explicit form's
+        # reader refuses n before its first key (12.7 MiB at n = 10^8 if not)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="B-keys"):
+                KDivisor.from_json_dict({"n": 10**8, "B": {"1,2": "1"}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_huge_m_refused_before_listing_partitions(self, tmp_path, capsys):
         # a pullback makes at most MAX_KEY_LABELS + 1 = 21 markings; m = 10^9

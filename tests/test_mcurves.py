@@ -75,6 +75,13 @@ class TestMDivisor:
         # psi keys are fine below four markings
         assert MDivisor(3, {(1,): -1}).coeffs == {Subset.from_labels([1], 3): -1}
 
+    def test_marking_cap_is_the_readers(self):
+        # the constructor states the reader's rule, so library input cannot
+        # reach the 2^m-entry table either; no table is built here
+        with pytest.raises(ValueError, match=r"^m=22 exceeds 21, the most markings a pullback makes$"):
+            MDivisor(22, {})
+        assert MDivisor(21, {}).m == 21
+
     def test_zero_coefficients_dropped(self):
         H = MDivisor(5, {Subset.from_labels([1, 2], 5): Fraction(0)})
         assert H.coeffs == {}
@@ -311,6 +318,10 @@ class TestFPositivity:
     def test_too_few_markings_rejected(self):
         with pytest.raises(ValueError):
             f_positivity(MDivisor(3, {(1,): -1}), "positive")
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown sense 'sideways'$"):
+            f_positivity(MDivisor(4, {(1,): -1}), "sideways")
 
 
 def reference_violations(H, sense, all_witnesses):
