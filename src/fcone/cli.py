@@ -21,7 +21,7 @@ from typing import Sequence
 from .combinat import MAX_KEY_LABELS
 from .kmaps import BoundaryCombo, KDivisor, pullback_alpha, pullback_beta
 from .logfano import Bounds, WitnessVerdict, search_witness, verify_witness
-from .mcurves import MDivisor, Verdict, f_positivity
+from .mcurves import AmpDecision, MDivisor, Verdict, f_violations
 from .rationals import json_coeffs, parse_rational
 from .strata import phi_divisor_map
 
@@ -77,14 +77,15 @@ def parse_bounds_spec(text: str) -> Bounds:
 
 def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for str-keyed dicts, lists, str, int, bool
-    and None, at C speed for strings: under ``indent`` json runs pure Python."""
+    and None, at C speed for strings: under ``indent`` json runs pure Python.
+    An iterator is read as a list."""
     if isinstance(obj, str):
         return _json_string(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
         items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
         ends = "{}"
-    elif isinstance(obj, list):
+    elif isinstance(obj, list) or hasattr(obj, "__next__"):
         items = [_json_text(v, inner) for v in obj]
         ends = "[]"
     else:
@@ -92,15 +93,40 @@ def _json_text(obj, indent: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
+def _write_json(write, obj, indent: str = "\n") -> None:
+    """Write ``_json_text(obj, indent)`` through ``write`` in pieces: a dict
+    key by key, and an iterator as an array item by item, each item and
+    every other value encoded whole. An iterator is read once, as it is
+    written, so a report that lists one is never held whole."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        sep, ends = "{" + inner, "{}"
+        for key, value in obj.items():
+            write(sep + _json_string(key) + ": ")
+            _write_json(write, value, inner)
+            sep = "," + inner
+    elif hasattr(obj, "__next__"):
+        sep, ends = "[" + inner, "[]"
+        for item in obj:
+            write(sep + _json_text(item, inner))
+            sep = "," + inner
+    else:
+        write(_json_text(obj, indent))
+        return
+    write(indent + ends[1] if sep[0] == "," else ends)
+
+
 def _emit(args, inputs: dict, code: int, result, text) -> int:
-    """Print the run report under ``--json``, else the text. ``result`` and
-    ``text`` are callables, so only the printed format is built."""
+    """Write the run report under ``--json``, else the text, piece by piece.
+    ``result`` and ``text`` are callables, so only the printed format is
+    built; ``text`` gives the lines, without their ends."""
+    write = sys.stdout.write
     if args.json:
         report = {"command": args.command, "inputs": inputs, "result": result(), "exit": code}
-        print(_json_text(report))
+        _write_json(write, report)
+        write("\n")
     else:
-        out = text()
-        print(out, end="" if out.endswith("\n") else "\n")
+        sys.stdout.writelines(line + "\n" for line in text())
     return code
 
 
@@ -112,9 +138,12 @@ MAX_JSON_BYTES = 1 << 27
 
 def _read_json(path: str):
     """Decode the UTF-8 JSON file at ``path``, reading at most one byte past
-    ``MAX_JSON_BYTES`` and refusing the file if that byte is there."""
+    ``MAX_JSON_BYTES`` and refusing the file if that byte is there; 1 MiB at
+    a time, as one read of the whole cap reserves 128 MiB for any file."""
+    raw = bytearray()
     with open(path, "rb") as fh:
-        raw = fh.read(MAX_JSON_BYTES + 1)
+        while (left := MAX_JSON_BYTES + 1 - len(raw)) and (chunk := fh.read(min(left, 1 << 20))):
+            raw += chunk
     if len(raw) > MAX_JSON_BYTES:
         raise ValueError(f"file exceeds {MAX_JSON_BYTES} bytes")
     return json.loads(raw.decode("utf-8"))
@@ -171,7 +200,7 @@ def cmd_verify(args) -> int:
         {"n": args.n, "combo": args.combo},
         VERDICT_EXIT[report.verdict],
         report.to_json_dict,
-        lambda: "\n".join(_witness_lines(report)),
+        lambda: _witness_lines(report),
     )
 
 
@@ -181,7 +210,7 @@ def cmd_search(args) -> int:
     feas = outcome.feasibility
     head = f"n={args.n} bounds {args.bounds or '(none)'}"
 
-    def text() -> str:
+    def text() -> list[str]:
         if not feas.feasible:
             nonzero = sum(1 for x in feas.multipliers if x)
             lines = [
@@ -193,7 +222,7 @@ def cmd_search(args) -> int:
             point = ",".join(f"a{s}={q}" for s, q in sorted(feas.point.items()))
             lines = [f"{head}: FEASIBLE at {point}"]
             lines += ["  " + line for line in _witness_lines(outcome.report)]
-        return "\n".join(lines)
+        return lines
 
     code = VERDICT_EXIT[outcome.report.verdict] if feas.feasible else EXIT_REFUTED
     return _emit(args, {"n": args.n, "bounds": args.bounds}, code, outcome.to_json_dict, text)
@@ -201,16 +230,19 @@ def cmd_search(args) -> int:
 
 def cmd_fcurves(args) -> int:
     H = _load_divisor(args.divisor, MDivisor)
-    decision = f_positivity(H, args.sense, all_witnesses=args.all_witnesses)
+    hits = f_violations(H, args.sense)
+    first = next(hits, None)  # the verdict; a refusal raises here, before any output
+    # the witness, then the rest of the scan as the writer reads it
+    listed = (v for part in ((first,), hits) for v in part) if args.all_witnesses else ()
+    decision = AmpDecision.of_scan(H.m, args.sense, first, listed)
 
-    def text() -> str:
-        lines = [f"m={H.m} sense={args.sense}: {decision.verdict.value}"]
-        if decision.witness is not None:
-            lines.append(
-                f"  first violation: {decision.witness} with value {decision.witness_value}"
-            )
-        lines += [f"  also: {v.partition} with value {v.value}" for v in decision.violations[1:]]
-        return "\n".join(lines)
+    def text():
+        yield f"m={H.m} sense={args.sense}: {decision.verdict.value}"
+        if first is not None:
+            yield f"  first violation: {first.partition} with value {first.value}"
+            if args.all_witnesses:
+                for v in hits:
+                    yield f"  also: {v.partition} with value {v.value}"
 
     inputs = {"divisor": args.divisor, "sense": args.sense}
     code = VERDICT_EXIT[decision.verdict]
@@ -235,11 +267,11 @@ def cmd_pullback(args) -> int:
     H = _divisor_from_args(args)
     if args.direction == "alpha":
         result = pullback_alpha(H).to_json_dict()
-        text = lambda: _json_text(result)
+        text = lambda: [_json_text(result)]
     else:
         degrees = {str(i): str(pullback_beta(H, i)) for i in range(1, H.n + 1)}
         result = {"degrees": degrees}
-        text = lambda: "\n".join(f"beta_{i}: {d}" for i, d in degrees.items())
+        text = lambda: (f"beta_{i}: {d}" for i, d in degrees.items())
     inputs = {"direction": args.direction, "divisor": args.divisor, "n": args.n}
     return _emit(args, inputs, EXIT_OK, lambda: result, text)
 
@@ -248,10 +280,10 @@ def cmd_strata(args) -> int:
     corr = phi_divisor_map(args.n)
 
     def result() -> dict:
-        pairs = [{"delta": str(d), "b": str(b)} for d, b in corr.pairs]
-        return {"n": corr.n, "pairs": pairs, "count": len(pairs)}
+        pairs = ({"delta": str(d), "b": str(b)} for d, b in corr)
+        return {"n": corr.n, "pairs": pairs, "count": len(corr)}
 
-    return _emit(args, {"n": args.n}, EXIT_OK, result, corr.to_tsv)
+    return _emit(args, {"n": args.n}, EXIT_OK, result, corr.tsv_lines)
 
 
 def _default_expectations() -> str:
@@ -334,7 +366,7 @@ def cmd_lemmas(args) -> int:
             "mismatches": mismatches,
             "details": {**details, "search_6": outcome.to_json_dict()},
         },
-        lambda: "\n".join(lines),
+        lambda: lines,
     )
 
 

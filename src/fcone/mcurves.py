@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping
 
 from .combinat import MAX_KEY_LABELS, FourPartition, Subset, canonical_key
 from .combinat import enumerate_four_partitions
@@ -41,6 +41,7 @@ __all__ = [
     "Verdict",
     "AmpDecision",
     "f_curve_value",
+    "f_violations",
     "f_positivity",
 ]
 
@@ -178,15 +179,28 @@ class AmpDecision:
     POSITIVE means every F-value satisfied the tested inequality and the
     marking count is within the range where that settles (anti-)ampleness;
     POSITIVE_BUT_UNDECIDED means the scan passed but m exceeds that range.
+    ``violations``, when listed, starts at the witness: a tuple from
+    ``f_positivity``, or a running scan for a report that streams it.
     """
 
     verdict: Verdict
     sense: Literal["positive", "negative"]
     witness: FourPartition | None = None
     witness_value: Fraction | None = None
-    violations: tuple[FValue, ...] = ()
+    violations: Iterable[FValue] = ()
+
+    @classmethod
+    def of_scan(cls, m: int, sense, first: FValue | None, violations=()) -> "AmpDecision":
+        """The decision of a scan on m markings whose first violation is
+        ``first`` (None if none): NOT_POSITIVE on a violation, else POSITIVE
+        up to FULTON_MAX_MARKINGS and POSITIVE_BUT_UNDECIDED beyond."""
+        if first is not None:
+            return cls(Verdict.NOT_POSITIVE, sense, first.partition, first.value, violations)
+        small = m <= FULTON_MAX_MARKINGS
+        return cls(Verdict.POSITIVE if small else Verdict.POSITIVE_BUT_UNDECIDED, sense)
 
     def to_json_dict(self) -> dict:
+        """The report's result; "violations" is an iterator of entries."""
         out: dict = {
             "verdict": self.verdict.value,
             "sense": self.sense,
@@ -196,10 +210,10 @@ class AmpDecision:
             out["witness"] = str(self.witness)
             out["witness_value"] = str(self.witness_value)
         if self.violations:
-            out["violations"] = [
+            out["violations"] = (
                 {"partition": str(v.partition), "value": str(v.value)}
                 for v in self.violations
-            ]
+            )
         return out
 
 
@@ -208,36 +222,29 @@ class AmpDecision:
 _SIGN = {"positive": 1, "negative": -1}
 
 
+def f_violations(H: MDivisor, sense: Literal["positive", "negative"]) -> Iterator[FValue]:
+    """The F-curve scan: every F-value that breaks the strict inequality of
+    ``sense``, lazily in enumeration order, so a consumer that stops stops
+    the scan. An unknown sense or m < 4 raises at the first ``next``."""
+    sign = _SIGN.get(sense)
+    if sign is None:
+        raise ValueError(f"unknown sense {sense!r}")
+    for P in enumerate_four_partitions(H.m):
+        v = f_curve_value(H, P)
+        if v.numerator * sign <= 0:
+            yield FValue(P, v)
+
+
 def f_positivity(
     H: MDivisor, sense: Literal["positive", "negative"], *, all_witnesses: bool = False
 ) -> AmpDecision:
     """Scan every F-curve; report the first violation in enumeration order.
 
-    Partitions are consumed as they are enumerated, so unless
-    ``all_witnesses`` is set the scan stops at the first violation.
+    The scan stops at the first violation unless ``all_witnesses`` is set,
+    which collects every violation into ``violations``.
     """
-    sign = _SIGN.get(sense)
-    if sign is None:
-        raise ValueError(f"unknown sense {sense!r}")
-    hits: list[FValue] = []
-    for P in enumerate_four_partitions(H.m):
-        v = f_curve_value(H, P)
-        if v.numerator * sign <= 0:
-            hits.append(FValue(P, v))
-            if not all_witnesses:
-                break
-    if hits:
-        first = hits[0]
-        return AmpDecision(
-            Verdict.NOT_POSITIVE,
-            sense,
-            witness=first.partition,
-            witness_value=first.value,
-            violations=tuple(hits) if all_witnesses else (),
-        )
-    verdict = (
-        Verdict.POSITIVE
-        if H.m <= FULTON_MAX_MARKINGS
-        else Verdict.POSITIVE_BUT_UNDECIDED
+    hits = f_violations(H, sense)
+    first = next(hits, None)
+    return AmpDecision.of_scan(
+        H.m, sense, first, (first, *hits) if all_witnesses and first is not None else ()
     )
-    return AmpDecision(verdict, sense)

@@ -17,21 +17,32 @@ __all__ = ["DivisorCorrespondence", "phi_divisor_map"]
 
 @dataclass(frozen=True)
 class DivisorCorrespondence:
-    """Pairs (curve-side canonical key on n+3 labels, map-side raw B-key)."""
+    """Pairs (curve-side canonical key on n+3 labels, map-side raw B-key),
+    one per B-key in ``boundary_keys`` order; iterating builds them lazily."""
 
     n: int
-    pairs: tuple[tuple[Subset, Subset], ...]
 
-    def to_tsv(self) -> str:
-        lines = ["S\tDeltaKey\tBKey"]
-        for delta, b in self.pairs:
-            lines.append(f"{b}\t{delta}\t{b}")
-        return "\n".join(lines) + "\n"
+    def __iter__(self):
+        m = self.n + 3
+        return ((canonical_key(Subset(b.mask, m)), b) for b in boundary_keys(self.n))
+
+    def __len__(self) -> int:
+        return 2**self.n - self.n - 1
+
+    @property
+    def pairs(self) -> tuple[tuple[Subset, Subset], ...]:
+        return tuple(self)
+
+    def tsv_lines(self):
+        """The TSV report line by line, without line ends."""
+        yield "S\tDeltaKey\tBKey"
+        yield from (f"{b}\t{delta}\t{b}" for delta, b in self)
 
 
 def phi_divisor_map(n: int) -> DivisorCorrespondence:
-    """One pair per map-side B-key, in ``boundary_keys`` order, with the
-    curve-side key for the same index set among n+3 labels.
+    """The correspondence on n markings: each map-side B-key with the
+    curve-side key for the same index set among n+3 labels. Refuses n < 2
+    and n > ``MAX_KEY_LABELS`` on the call, before any pair is built.
 
     Distinct B-keys give distinct curve-side keys: a key that flips to its
     complement then holds n+1, n+2 and n+3, so it never equals a key kept
@@ -39,8 +50,5 @@ def phi_divisor_map(n: int) -> DivisorCorrespondence:
     """
     if n < 2:
         raise ValueError(f"no boundary keys on n={n} < 2")
-    m = n + 3
-    pairs = tuple(
-        (canonical_key(Subset(b_key.mask, m)), b_key) for b_key in boundary_keys(n)
-    )
-    return DivisorCorrespondence(n, pairs)
+    boundary_keys(n)  # the bound on n, checked when the key walk is made
+    return DivisorCorrespondence(n)

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: exit codes, determinism, round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -759,6 +760,35 @@ class TestUsageErrors:
             os.close(write_end)
         assert proc.returncode == EXIT_USAGE
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["strata", "--n", "1"], "no boundary keys on n=1 < 2"),
+            (["strata", "--n", "21"], "n=21 has 2^21 - 21 - 1 B-keys"),
+            (["strata", "--n", "1000000000"], "B-keys"),
+            (["fcurves", "--divisor", "m3.json", "--all-witnesses"], "no four-block partitions"),
+            (["fcurves", "--divisor", "m5.json", "--sense", "sideways"], "invalid choice"),
+            (["fcurves", "--divisor", "nope.json", "--all-witnesses"], "cannot read JSON file"),
+            (["fcurves", "--divisor", "list.json", "--all-witnesses"], "must hold an object"),
+            (["fcurves", "--divisor", "bad.json", "--all-witnesses"], "bad divisor file"),
+        ],
+        ids=["strata-n1", "strata-n21", "strata-n1e9", "fcurves-m3", "fcurves-sense",
+             "fcurves-missing", "fcurves-list", "fcurves-bad-key"],
+    )
+    def test_streamed_reports_refuse_before_the_first_byte(
+        self, tmp_path, monkeypatch, capsys, fmt, argv, message
+    ):
+        # both reports stream, so every refusal must come before any output
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m3.json").write_text('{"m": 3, "psi": {"1": "1"}}')
+        (tmp_path / "m5.json").write_text('{"m": 5}')
+        (tmp_path / "list.json").write_text("[]")
+        (tmp_path / "bad.json").write_text('{"m": 5, "delta": {"1,9": "1"}}')
+        code, out, err = run(capsys, *argv, *fmt)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("fcone: error: ") and message in err
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
@@ -833,7 +863,7 @@ class TestOnlyThePrintedFormatIsBuilt:
     def test_strata_json_builds_no_tsv(self, monkeypatch, capsys):
         from fcone.strata import DivisorCorrespondence
 
-        monkeypatch.setattr(DivisorCorrespondence, "to_tsv", _raise)
+        monkeypatch.setattr(DivisorCorrespondence, "tsv_lines", _raise)
         code, out, _ = run(capsys, "strata", "--n", "4", "--json")
         assert code == EXIT_OK and json.loads(out)["result"]["count"] == 11
 
@@ -849,18 +879,77 @@ class TestOnlyThePrintedFormatIsBuilt:
         assert code == EXIT_REFUTED and out.count("also:") == 5
 
     def test_pullback_alpha_json_encodes_once(self, monkeypatch, capsys):
-        # the writer recurses one indent deeper per level: count only the
-        # calls that start a document
+        # both encoders recurse one indent deeper per level: count only the
+        # calls, to either, that start a document
         import fcone.cli as cli
 
         calls = []
-        writer = cli._json_text
+        text, write_json = cli._json_text, cli._write_json
 
-        def counting(obj, indent="\n"):
+        def counting_text(obj, indent="\n"):
             calls.append(indent == "\n")
-            return writer(obj, indent)
+            return text(obj, indent)
 
-        monkeypatch.setattr(cli, "_json_text", counting)
+        def counting_write(write, obj, indent="\n"):
+            calls.append(indent == "\n")
+            return write_json(write, obj, indent)
+
+        monkeypatch.setattr(cli, "_json_text", counting_text)
+        monkeypatch.setattr(cli, "_write_json", counting_write)
         code, out, _ = run(capsys, "pullback", "alpha", "--n", "5", "--K", "--json")
         assert code == EXIT_OK and json.loads(out)["command"] == "pullback"
         assert sum(calls) == 1
+
+
+def _cli_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(fcone.__file__).resolve().parents[1]))
+
+
+class TestStreamedReports:
+    """``fcurves --all-witnesses`` and ``strata`` write their reports as the
+    scan runs, so memory does not grow with the report."""
+
+    # sha256 of the stdout of each argv, run in a directory holding z11.json
+    # = {"m": 11}, the zero class: every F-value is 0, so all S(11, 4) =
+    # 145,750 F-curves break the strict inequality (a 13 MiB report)
+    REPORTS = {
+        ("fcurves", "--divisor", "z11.json", "--all-witnesses", "--json"): (
+            EXIT_REFUTED, "d7c603a97e345f3113ffcc157a38d73a7706126863712db5dc40faefea772cf1"
+        ),
+        ("strata", "--n", "16", "--json"): (
+            EXIT_OK, "3e8e2a67dae67fcb629800a6caec312962e4114781a120cf518e5f6db62c0036"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(REPORTS), ids=["fcurves-m11", "strata-n16"])
+    def test_peak_memory_stays_flat(self, tmp_path, monkeypatch, argv):
+        # stdout goes to a file, so captured text does not count. Measured:
+        # 1.2 MiB and 0.1 MiB; built whole, the reports peaked at 128 MiB (a
+        # whole-cap read buffer, then the report) and 66 MiB
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "z11.json").write_text('{"m": 11}')
+        with open(tmp_path / "out", "w", encoding="utf-8") as fh:
+            with contextlib.redirect_stdout(fh):
+                tracemalloc.start()
+                try:
+                    code = main(list(argv))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        out = (tmp_path / "out").read_bytes()
+        assert (code, hashlib.sha256(out).hexdigest()) == self.REPORTS[argv]
+        assert len(out) > 3 * 2**20 and peak < 2 * 2**20
+
+    def test_closed_stdout_mid_report_exits_three_quietly(self, tmp_path):
+        # the reader stops after the verdict line of a 6 MiB text report
+        (tmp_path / "z11.json").write_text('{"m": 11}')
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fcone.cli", "fcurves", "--divisor", "z11.json",
+             "--all-witnesses"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(), cwd=tmp_path,
+        )
+        assert proc.stdout.readline() == b"m=11 sense=positive: not-positive\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=300), err) == (EXIT_USAGE, b"")

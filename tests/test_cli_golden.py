@@ -1,6 +1,7 @@
 """Byte-identity of the CLI: a sha256 over (argv, exit code, stdout) for each
 subcommand in text and ``--json`` form, recorded before the output path was
 rewritten. A change to any printed byte, or to an exit code, fails here.
+The same cases run once more in child processes under an address-space cap.
 
 The divisor file for ``fcurves`` is written by this test from a closed-form
 rule, not by the package, and is passed by a relative path because the
@@ -20,6 +21,11 @@ from pathlib import Path
 import pytest
 
 from fcone.cli import main
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 M = 9
 DIVISOR_FILE = "d9.json"
@@ -129,3 +135,49 @@ def test_cli_output_is_byte_identical_under_optimize(workdir):
     results = json.loads(proc.stdout)
     assert results.pop("optimize") == 1
     assert {case: _digest(CASES[case], *results[case]) for case in CASES} == GOLDEN
+
+
+# what the cap allows above a child that has only imported the CLI: every
+# case below needs at most 2 MiB more (bisected with RLIMIT_AS on Linux,
+# Python 3.11), while reading a divisor file once reserved 128 MiB and the
+# m = 11 report was built whole in about 150 MiB
+AS_MARGIN = 40 << 20
+
+# the m = 11 zero class: all 145,750 F-curves violate, a 13 MiB report
+ZERO_11 = ["fcurves", "--divisor", "z11.json", "--all-witnesses", "--json"]
+ZERO_11_SHA256 = "d7c603a97e345f3113ffcc157a38d73a7706126863712db5dc40faefea772cf1"
+
+_VM_PEAK = """
+import fcone.cli
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmPeak:")))
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_cli_output_under_an_address_space_cap(workdir):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    floor = subprocess.run(
+        [sys.executable, "-c", _VM_PEAK], capture_output=True, text=True, env=env, timeout=300
+    )
+    if floor.returncode != 0:
+        pytest.skip("no /proc/self/status to measure the interpreter's own address space")
+    cap = int(floor.stdout) * 1024 + AS_MARGIN
+
+    def limit():  # in the child only: the test process keeps its limits
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    (workdir / "z11.json").write_text('{"m": 11}')
+    got = {}
+    for case, argv in sorted({**CASES, "zero-11": ZERO_11}.items()):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fcone.cli", *argv], capture_output=True, env=env,
+            cwd=workdir, preexec_fn=limit, timeout=300,
+        )
+        assert b"Traceback" not in proc.stderr, (case, proc.stderr.decode()[-300:])
+        if case == "zero-11":
+            got[case] = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
+        else:
+            got[case] = _digest(argv, proc.returncode, proc.stdout.decode())
+    assert got == {**GOLDEN, "zero-11": (1, ZERO_11_SHA256)}

@@ -1,6 +1,6 @@
 """The CLI's JSON writer prints exactly what ``json.dumps(obj, indent=2)``
-prints: on seeded random trees, and on one real report of every ``--json``
-subcommand."""
+prints: on seeded random trees, whole and streamed with arrays given as
+iterators, and on one real report of every ``--json`` subcommand."""
 
 import json
 import random
@@ -40,30 +40,111 @@ def _tree(rng: random.Random, depth: int):
     return {_text(rng): _tree(rng, depth + 1) for _ in range(size)}
 
 
+def _streamed(obj, rng: random.Random, seen: list):
+    """``obj`` with each list turned into an iterator over its items with
+    probability 1/2; ``seen`` gets each such list's length."""
+    if isinstance(obj, dict):
+        return {k: _streamed(v, rng, seen) for k, v in obj.items()}
+    if isinstance(obj, list):
+        items = [_streamed(v, rng, seen) for v in obj]
+        if rng.random() < 0.5:
+            seen.append(len(items))
+            return iter(items)
+        return items
+    return obj
+
+
+def _written(obj) -> str:
+    pieces = []
+    cli._write_json(pieces.append, obj)
+    return "".join(pieces)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_trees_match_the_stdlib(seed):
     rng = random.Random(seed)
+    seen = []
     for _ in range(50):
         obj = {_text(rng): _tree(rng, 1) for _ in range(rng.randrange(4))}
-        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+        want = json.dumps(obj, indent=2)
+        assert cli._json_text(obj) == want
+        assert _written(obj) == want
+        assert _written(_streamed(obj, rng, seen)) == want
+        assert cli._json_text(_streamed(obj, rng, seen)) == want
+    # arrays reached both encoders as empty and as non-empty iterators
+    assert 0 in seen and max(seen) > 0
 
 
 def test_scalars_and_empty_containers_match_the_stdlib():
     for obj in ["", "é\"\\\x00", -(2**70), True, False, None, {}, [], [[]], {"": {}}]:
         assert cli._json_text(obj) == json.dumps(obj, indent=2)
+        assert _written(obj) == json.dumps(obj, indent=2)
+    for items in ([], [[]], [{}, 1], [{"a": []}, "b"]):
+        want = json.dumps(items, indent=2)
+        assert _written(iter(items)) == want and cli._json_text(iter(items)) == want
+        assert _written({"k": iter(items)}) == json.dumps({"k": items}, indent=2)
 
 
-def _reports(monkeypatch, capsys, argv):
-    """Run argv; return its stdout and the trees the writer was handed."""
+def test_an_iterator_is_written_item_by_item():
+    # one piece per item, each written before the next item is read
+    read, pieces = [], []
+
+    def items():
+        for i in range(3):
+            read.append(len(pieces))
+            yield {"i": i}
+
+    cli._write_json(pieces.append, {"result": {"pairs": items()}})
+    assert read == [2, 3, 4]
+    want = {"result": {"pairs": [{"i": i} for i in range(3)]}}
+    assert "".join(pieces) == json.dumps(want, indent=2)
+
+
+def _tapped(obj):
+    """(copy, live): ``live`` is ``obj`` with each iterator wrapped so that
+    what it yields is appended, read into lists, to the matching list in
+    ``copy``. Once a writer has read ``live``, ``copy`` is the tree written."""
+    if isinstance(obj, dict):
+        pairs = {k: _tapped(v) for k, v in obj.items()}
+        return {k: c for k, (c, _) in pairs.items()}, {k: v for k, (_, v) in pairs.items()}
+    if isinstance(obj, list):
+        pairs = [_tapped(v) for v in obj]
+        return [c for c, _ in pairs], [v for _, v in pairs]
+    if hasattr(obj, "__next__"):
+        copy = []
+
+        def live():
+            for item in obj:
+                c, v = _tapped(item)
+                copy.append(c)
+                yield v
+
+        return copy, live()
+    return obj, obj
+
+
+def _reports(monkeypatch, capsys, argv, streamed=None):
+    """Run argv; return its stdout and the trees that either encoder was
+    handed whole, with every array read into a list. ``streamed`` gets the
+    tree as handed, iterators unread."""
     trees = []
-    writer = cli._json_text
+    text, write_json = cli._json_text, cli._write_json
 
-    def recording(obj, indent="\n"):
+    def recording_text(obj, indent="\n"):
         if indent == "\n":
             trees.append(obj)
-        return writer(obj, indent)
+        return text(obj, indent)
 
-    monkeypatch.setattr(cli, "_json_text", recording)
+    def recording_write(write, obj, indent="\n"):
+        if indent == "\n":
+            copy, obj = _tapped(obj)
+            trees.append(copy)
+            if streamed is not None:
+                streamed.append(obj)
+        return write_json(write, obj, indent)
+
+    monkeypatch.setattr(cli, "_json_text", recording_text)
+    monkeypatch.setattr(cli, "_write_json", recording_write)
     cli.main(argv)
     return capsys.readouterr().out, trees
 
@@ -106,6 +187,17 @@ def test_every_json_report_matches_the_stdlib(monkeypatch, capsys, divisor_files
     assert len(trees) == 1
     assert out == json.dumps(trees[0], indent=2) + "\n"
     assert out.isascii() and json.loads(out) == trees[0]
+
+
+@pytest.mark.parametrize("name, key", [("fcurves", "violations"), ("strata", "pairs")])
+def test_long_arrays_reach_the_writer_as_iterators(monkeypatch, capsys, divisor_files, name, key):
+    # the all-witness and strata lists are read as they are written, never
+    # built: a list here would hold the whole report in memory
+    streamed = []
+    out, trees = _reports(monkeypatch, capsys, ARGVS[name](*divisor_files) + ["--json"], streamed)
+    array = streamed[0]["result"][key]
+    assert hasattr(array, "__next__") and not isinstance(array, (list, tuple))
+    assert len(trees[0]["result"][key]) == len(json.loads(out)["result"][key]) > 0
 
 
 def test_pullback_alpha_text_matches_the_stdlib(monkeypatch, capsys, divisor_files):

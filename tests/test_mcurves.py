@@ -26,6 +26,7 @@ from fcone.mcurves import (
     Verdict,
     f_curve_value,
     f_positivity,
+    f_violations,
 )
 
 
@@ -314,6 +315,23 @@ class TestFPositivity:
         assert decision.verdict is Verdict.NOT_POSITIVE
         position = list(enumerate_four_partitions(10)).index(decision.witness) + 1
         assert yielded == position
+
+    def test_violation_scan_is_lazy(self, monkeypatch):
+        # the scan the all-witness report streams: the same violations in the
+        # same order, each yielded as soon as the walk reaches it
+        H = pullback_alpha(canonical_class(4))
+        listed = f_positivity(H, "negative", all_witnesses=True).violations
+        assert tuple(f_violations(H, "negative")) == listed and len(listed) == 6
+        yielded = []
+
+        def counting(m):
+            for P in enumerate_four_partitions(m):
+                yielded.append(P)
+                yield P
+
+        monkeypatch.setattr("fcone.mcurves.enumerate_four_partitions", counting)
+        first = next(f_violations(MDivisor(12, {}), "positive"))
+        assert yielded == [first.partition] and first.value == 0
 
     def test_too_few_markings_rejected(self):
         with pytest.raises(ValueError):

@@ -45,11 +45,8 @@ def test_large_sources_flip_to_complements():
 
 
 def test_tsv_format():
-    text = phi_divisor_map(2).to_tsv()
-    lines = text.splitlines()
-    assert lines[0] == "S\tDeltaKey\tBKey"
-    assert lines[1] == "1,2\t1,2\t1,2"
-    assert text.endswith("\n")
+    lines = list(phi_divisor_map(2).tsv_lines())
+    assert lines == ["S\tDeltaKey\tBKey", "1,2\t1,2\t1,2"]
 
 
 def test_too_small_rejected():
