@@ -239,10 +239,10 @@ def cmd_fcurves(args) -> int:
     def text():
         yield f"m={H.m} sense={args.sense}: {decision.verdict.value}"
         if first is not None:
-            yield f"  first violation: {first.partition} with value {first.value}"
+            yield f"  first violation: {decision.witness} with value {decision.witness_value}"
             if args.all_witnesses:
-                for v in hits:
-                    yield f"  also: {v.partition} with value {v.value}"
+                for P, v in hits:
+                    yield f"  also: {P} with value {v}"
 
     inputs = {"divisor": args.divisor, "sense": args.sense}
     code = VERDICT_EXIT[decision.verdict]
@@ -431,8 +431,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = args.func(args)
             sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
             return code
-        except (CliError, ValueError) as exc:
-            print(f"fcone: error: {exc}", file=sys.stderr)
+        except (CliError, ValueError, MemoryError) as exc:
+            print(f"fcone: error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return EXIT_USAGE
     except BrokenPipeError:
         # point fds 1 and 2 at devnull so the flushes at exit cannot raise

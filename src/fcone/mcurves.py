@@ -37,7 +37,6 @@ from .rationals import Linear, as_rational, json_coeffs, sum_by_key
 __all__ = [
     "FULTON_MAX_MARKINGS",
     "MDivisor",
-    "FValue",
     "Verdict",
     "AmpDecision",
     "f_curve_value",
@@ -91,8 +90,9 @@ class MDivisor(Linear):
         boundary key; the table is dense, one int per mask of m labels (8 KiB
         at m = 10, 16 MiB at m = 21), and other masks read 0. ``values``
         interns the F-value total / den per integer total, so equal F-values
-        share one immutable Fraction; it keeps at most ``cap`` entries, the
-        number of keyed masks. Built on first use by the F-kernel."""
+        share one immutable Fraction; it keeps the zero total and at most
+        ``cap`` others, ``cap`` being the number of keyed masks. Built on
+        first use by the F-kernel."""
         den = math.lcm(*(q.denominator for q in self.coeffs.values()))
         full = (1 << self.m) - 1
         table = [0] * (full + 1)
@@ -139,14 +139,6 @@ class MDivisor(Linear):
         return cls(m, sum_by_key(pairs))
 
 
-@dataclass(frozen=True, slots=True)
-class FValue:
-    """The intersection number of a divisor with one F-curve."""
-
-    partition: FourPartition
-    value: Fraction
-
-
 def f_curve_value(H: MDivisor, P: FourPartition) -> Fraction:
     """Intersection of H with the F-curve of partition P (exact rational)."""
     I, J, K, L = P
@@ -161,7 +153,7 @@ def f_curve_value(H: MDivisor, P: FourPartition) -> Fraction:
     v = values.get(total)
     if v is None:
         v = Fraction(total, den)
-        if len(values) < cap:
+        if len(values) < cap or not total:
             values[total] = v
     return v
 
@@ -179,23 +171,25 @@ class AmpDecision:
     POSITIVE means every F-value satisfied the tested inequality and the
     marking count is within the range where that settles (anti-)ampleness;
     POSITIVE_BUT_UNDECIDED means the scan passed but m exceeds that range.
-    ``violations``, when listed, starts at the witness: a tuple from
-    ``f_positivity``, or a running scan for a report that streams it.
+    ``violations``, when listed, holds (partition, value) pairs from the
+    witness on: a tuple from ``f_positivity``, or a running scan for a
+    report that streams it.
     """
 
     verdict: Verdict
     sense: Literal["positive", "negative"]
     witness: FourPartition | None = None
     witness_value: Fraction | None = None
-    violations: Iterable[FValue] = ()
+    violations: Iterable[tuple[FourPartition, Fraction]] = ()
 
     @classmethod
-    def of_scan(cls, m: int, sense, first: FValue | None, violations=()) -> "AmpDecision":
-        """The decision of a scan on m markings whose first violation is
-        ``first`` (None if none): NOT_POSITIVE on a violation, else POSITIVE
-        up to FULTON_MAX_MARKINGS and POSITIVE_BUT_UNDECIDED beyond."""
+    def of_scan(cls, m: int, sense, first, violations=()) -> "AmpDecision":
+        """The decision of a scan on m markings whose first violation is the
+        (partition, value) pair ``first`` (None if none): NOT_POSITIVE on a
+        violation, else POSITIVE up to FULTON_MAX_MARKINGS and
+        POSITIVE_BUT_UNDECIDED beyond."""
         if first is not None:
-            return cls(Verdict.NOT_POSITIVE, sense, first.partition, first.value, violations)
+            return cls(Verdict.NOT_POSITIVE, sense, *first, violations)
         small = m <= FULTON_MAX_MARKINGS
         return cls(Verdict.POSITIVE if small else Verdict.POSITIVE_BUT_UNDECIDED, sense)
 
@@ -211,8 +205,7 @@ class AmpDecision:
             out["witness_value"] = str(self.witness_value)
         if self.violations:
             out["violations"] = (
-                {"partition": str(v.partition), "value": str(v.value)}
-                for v in self.violations
+                {"partition": str(P), "value": str(v)} for P, v in self.violations
             )
         return out
 
@@ -222,17 +215,20 @@ class AmpDecision:
 _SIGN = {"positive": 1, "negative": -1}
 
 
-def f_violations(H: MDivisor, sense: Literal["positive", "negative"]) -> Iterator[FValue]:
-    """The F-curve scan: every F-value that breaks the strict inequality of
-    ``sense``, lazily in enumeration order, so a consumer that stops stops
-    the scan. An unknown sense or m < 4 raises at the first ``next``."""
+def f_violations(
+    H: MDivisor, sense: Literal["positive", "negative"]
+) -> Iterator[tuple[FourPartition, Fraction]]:
+    """The F-curve scan: a (partition, value) pair for every F-value that
+    breaks the strict inequality of ``sense``, lazily in enumeration order,
+    so a consumer that stops stops the scan. An unknown sense or m < 4
+    raises at the first ``next``."""
     sign = _SIGN.get(sense)
     if sign is None:
         raise ValueError(f"unknown sense {sense!r}")
     for P in enumerate_four_partitions(H.m):
         v = f_curve_value(H, P)
         if v.numerator * sign <= 0:
-            yield FValue(P, v)
+            yield P, v
 
 
 def f_positivity(

@@ -1,7 +1,8 @@
 """Byte-identity of the CLI: a sha256 over (argv, exit code, stdout) for each
 subcommand in text and ``--json`` form, recorded before the output path was
 rewritten. A change to any printed byte, or to an exit code, fails here.
-The same cases run once more in child processes under an address-space cap.
+The same cases run once more in child processes under an address-space cap,
+where an endless input file must still be refused with exit 3.
 
 The divisor file for ``fcurves`` is written by this test from a closed-form
 rule, not by the package, and is passed by a relative path because the
@@ -153,8 +154,13 @@ print(next(line.split()[1] for line in open("/proc/self/status") if line.startsw
 """
 
 
-@pytest.mark.skipif(resource is None, reason="needs the resource module")
-def test_cli_output_under_an_address_space_cap(workdir):
+@pytest.fixture
+def capped(workdir):
+    """Run ``fcone.cli`` argv in a child under the address-space cap, which
+    the interpreter's own VmPeak plus AS_MARGIN sets; returns the
+    CompletedProcess with stdout and stderr as bytes."""
+    if resource is None:
+        pytest.skip("needs the resource module")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -168,16 +174,41 @@ def test_cli_output_under_an_address_space_cap(workdir):
     def limit():  # in the child only: the test process keeps its limits
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    (workdir / "z11.json").write_text('{"m": 11}')
-    got = {}
-    for case, argv in sorted({**CASES, "zero-11": ZERO_11}.items()):
-        proc = subprocess.run(
+    def run(argv):
+        return subprocess.run(
             [sys.executable, "-m", "fcone.cli", *argv], capture_output=True, env=env,
             cwd=workdir, preexec_fn=limit, timeout=300,
         )
+
+    return run
+
+
+def test_cli_output_under_an_address_space_cap(workdir, capped):
+    (workdir / "z11.json").write_text('{"m": 11}')
+    got = {}
+    for case, argv in sorted({**CASES, "zero-11": ZERO_11}.items()):
+        proc = capped(argv)
         assert b"Traceback" not in proc.stderr, (case, proc.stderr.decode()[-300:])
         if case == "zero-11":
             got[case] = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
         else:
             got[case] = _digest(argv, proc.returncode, proc.stdout.decode())
     assert got == {**GOLDEN, "zero-11": (1, ZERO_11_SHA256)}
+
+
+# endless inputs: each command reads until its 128 MiB cap, which the
+# address-space cap cuts short
+ENDLESS = {
+    "fcurves": ["fcurves", "--divisor", "/dev/zero"],
+    "pullback": ["pullback", "beta", "--divisor", "/dev/zero"],
+    "lemmas": ["lemmas", "--expectations", "/dev/zero"],
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(ENDLESS))
+def test_endless_input_under_an_address_space_cap_is_a_usage_error(name, json_flag, capped):
+    proc = capped(ENDLESS[name] + json_flag)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()[-300:]
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.startswith(b"fcone: error: ") and proc.stderr.count(b"\n") == 1

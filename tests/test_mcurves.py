@@ -275,10 +275,10 @@ class TestFPositivity:
         H = pullback_alpha(canonical_class(4))
         decision = f_positivity(H, "negative", all_witnesses=True)
         assert len(decision.violations) == 6
-        assert decision.violations[0].partition == decision.witness
-        order = [scan_order_key(v.partition) for v in decision.violations]
+        assert decision.violations[0] == (decision.witness, decision.witness_value)
+        order = [scan_order_key(P) for P, _ in decision.violations]
         assert order == sorted(order)
-        assert all(v.value == 0 for v in decision.violations)
+        assert all(v == 0 for _, v in decision.violations)
 
     def test_undecided_beyond_known_range(self):
         keys = {
@@ -296,9 +296,7 @@ class TestFPositivity:
             pos = f_positivity(scaled_class(-1, H), "positive", all_witnesses=True)
             assert neg.verdict == pos.verdict
             assert neg.witness == pos.witness
-            assert [v.partition for v in neg.violations] == [
-                v.partition for v in pos.violations
-            ]
+            assert [P for P, _ in neg.violations] == [P for P, _ in pos.violations]
 
     def test_first_violation_scan_stops_at_witness(self, monkeypatch):
         yielded = 0
@@ -330,8 +328,8 @@ class TestFPositivity:
                 yield P
 
         monkeypatch.setattr("fcone.mcurves.enumerate_four_partitions", counting)
-        first = next(f_violations(MDivisor(12, {}), "positive"))
-        assert yielded == [first.partition] and first.value == 0
+        P, v = next(f_violations(MDivisor(12, {}), "positive"))
+        assert yielded == [P] and v == 0
 
     def test_too_few_markings_rejected(self):
         with pytest.raises(ValueError):
@@ -378,8 +376,7 @@ class TestSignTestExactness:
                     assert (decision.verdict is Verdict.NOT_POSITIVE) == bool(hits)
                     if hits:
                         assert (decision.witness, decision.witness_value) == hits[0]
-                    got = [(v.partition, v.value) for v in decision.violations]
-                    assert got == (hits if all_witnesses else [])
+                    assert list(decision.violations) == (hits if all_witnesses else [])
         # the sample reaches zero, both signs and a non-integer value
         assert 0 in values and min(values) < 0 < max(values)
         assert any(v.denominator > 1 for v in values)
@@ -398,21 +395,22 @@ class TestSignTestExactness:
         assert len(set(values)) == len(values) == 1701
         for sense in ("positive", "negative"):
             decision = f_positivity(H, sense, all_witnesses=True)
-            got = [(v.partition, v.value) for v in decision.violations]
+            got = list(decision.violations)
             assert got == reference_violations(H, sense, True) and got
         interned, cap = H._mask_table[2:]
         assert cap == 8 + 2 * 119  # singleton masks, and both sides of each split
         assert len(interned) == cap
 
     def test_equal_values_share_one_fraction(self):
-        H = lemma_divisor_m5()
-        values = [f_curve_value(H, P) for P in enumerate_four_partitions(5)]
-        assert values == [-1] * 10
-        assert all(v is values[0] for v in values)
+        # the zero class has no keyed masks, yet its one value is shared too
+        for H, value, count in ((lemma_divisor_m5(), -1, 10), (MDivisor(8, {}), 0, 1701)):
+            values = [f_curve_value(H, P) for P in enumerate_four_partitions(H.m)]
+            assert values == [value] * count
+            assert all(v is values[0] for v in values)
 
     def test_all_witness_scan_peak_memory(self):
-        # one slotted FValue and FourPartition per violation: 7.4 MiB, against
-        # 10.0 MiB when both carried an instance dict
+        # one (partition, value) tuple and slotted FourPartition per violation,
+        # all sharing one zero value: 5.0 MiB on Python 3.11
         H = MDivisor(10, {})
         tracemalloc.start()
         try:
