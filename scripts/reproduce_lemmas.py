@@ -21,8 +21,10 @@ def show_witness(n, coefficients):
     for S in pulled.support():
         print(f"    {{{S}}} -> {pulled.coeffs[S]}")
     print("intersection with one F-curve per orbit shape:")
-    for sh, rep in enumerate_shapes(n + 1, special=n + 1):
-        print(f"    {rep}  (shape {sh})  ->  {f_curve_value(pulled, rep)}")
+    for sizes, rep in enumerate_shapes(n + 1, special=n + 1):
+        held = n + 1 - sum(sizes)  # the size of the block holding label n+1
+        shape = "+".join(map(str, sorted(sizes + (held,)))) + f"(special in {held})"
+        print(f"    {rep}  (shape {shape})  ->  {f_curve_value(pulled, rep)}")
     total = sum(1 for _ in enumerate_four_partitions(n + 1))
     print(f"full scan over {total} F-curves: values in "
           f"[{report.f_min}, {report.f_max}]")

@@ -139,14 +139,21 @@ MAX_JSON_BYTES = 1 << 27
 def _read_json(path: str):
     """Decode the UTF-8 JSON file at ``path``, reading at most one byte past
     ``MAX_JSON_BYTES`` and refusing the file if that byte is there; 1 MiB at
-    a time, as one read of the whole cap reserves 128 MiB for any file."""
+    a time, as one read of the whole cap reserves 128 MiB for any file. Running
+    out of memory first is a ValueError too, so the caller's line names the
+    file; its text leaves out how far the read got, which the memory limit
+    decides."""
     raw = bytearray()
-    with open(path, "rb") as fh:
-        while (left := MAX_JSON_BYTES + 1 - len(raw)) and (chunk := fh.read(min(left, 1 << 20))):
-            raw += chunk
-    if len(raw) > MAX_JSON_BYTES:
-        raise ValueError(f"file exceeds {MAX_JSON_BYTES} bytes")
-    return json.loads(raw.decode("utf-8"))
+    try:
+        with open(path, "rb") as fh:
+            # read(0) is b"" once the one byte past the cap is in
+            while chunk := fh.read(min(MAX_JSON_BYTES + 1 - len(raw), 1 << 20)):
+                raw += chunk
+        if len(raw) > MAX_JSON_BYTES:
+            raise ValueError(f"file exceeds {MAX_JSON_BYTES} bytes")
+        return json.loads(raw.decode("utf-8"))
+    except MemoryError:
+        raise ValueError(f"out of memory before the {MAX_JSON_BYTES}-byte cap") from None
 
 
 def _load_divisor(path: str, cls):

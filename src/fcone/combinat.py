@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Iterator
 __all__ = [
     "Subset",
     "FourPartition",
-    "PartitionShape",
     "canonical_key",
     "enumerate_four_partitions",
     "enumerate_shapes",
@@ -133,20 +132,6 @@ class FourPartition(tuple[Subset, Subset, Subset, Subset]):
         return "{%s}|{%s}|{%s}|{%s}" % self
 
 
-@dataclass(frozen=True)
-class PartitionShape:
-    """Orbit label of a four-block partition under the permutations fixing a
-    special label: the size multiset, ascending, and the size of the block
-    holding it. Only ``enumerate_shapes`` builds one; the constructor checks
-    nothing."""
-
-    sizes: tuple[int, int, int, int]
-    special_part_size: int
-
-    def __str__(self) -> str:
-        return "+".join(map(str, self.sizes)) + f"(special in {self.special_part_size})"
-
-
 class _Memo(dict):
     """A dict that fills a missing key with ``make(key)``."""
 
@@ -210,23 +195,44 @@ def enumerate_four_partitions(m: int) -> Iterator[FourPartition]:
                     yield FourPartition((P1, P2, blocks[p3], blocks[left ^ p3]))
 
 
-def enumerate_shapes(m: int, special: int) -> list[tuple[PartitionShape, FourPartition]]:
+def enumerate_shapes(m: int, special: int) -> list[tuple[tuple[int, int, int], FourPartition]]:
     """Distinct shapes with one representative each, in order of first
-    occurrence along ``enumerate_four_partitions``.
+    occurrence along ``enumerate_four_partitions``. A shape is the orbit of a
+    partition under the permutations fixing ``special``, keyed by the sizes,
+    ascending, of the three blocks that do not hold it.
 
-    This walks all S(m, 4) partitions on purpose and builds one shape record
-    per partition. The constraint generator writes the same shape order in
-    closed form, and its tests compare it with this walk, which defines the
-    order by first occurrence; the walk also hands out each representative
-    as an actual partition of the scan. Its callers are the bench self-test
-    (m = 7), ``scripts/reproduce_lemmas.py`` (m = 5, 6) and the tests (m up
-    to 10).
+    This walks all S(m, 4) partitions on purpose. ``_shape_sizes`` writes the
+    same shape order in closed form, and its tests compare it with this walk,
+    which defines the order by first occurrence; the walk also hands out each
+    representative as an actual partition of the scan. Its callers are the
+    bench self-test (m = 7), ``scripts/reproduce_lemmas.py`` (m = 5, 6) and
+    the tests (m up to 10).
     """
     if not 1 <= special <= m:
         raise ValueError(f"special label {special} out of range 1..{m}")
     bit = 1 << special - 1
-    reps: dict[PartitionShape, FourPartition] = {}
+    reps: dict[tuple[int, int, int], FourPartition] = {}
     for P in enumerate_four_partitions(m):
-        (held,) = [S.size for S in P if S.mask & bit]
-        reps.setdefault(PartitionShape(tuple(sorted([S.size for S in P])), held), P)
+        reps.setdefault(tuple(sorted([S.size for S in P if not S.mask & bit])), P)
     return list(reps.items())
+
+
+def _shape_sizes(m: int) -> Iterator[tuple[int, int, int]]:
+    """The shapes of ``enumerate_shapes(m, m)``, without the walk: the sizes,
+    ascending, of the three blocks without label m, in the order the shapes
+    first occur along ``enumerate_four_partitions(m)``.
+
+    A shape with label m in a block of two or more first occurs among the
+    minima (1, 2, 3, 4), one with m alone among (1, 2, 3, m). Within either
+    group the first partition fills the blocks in order with the smallest
+    free labels, so it gives the three blocks without m their sizes in
+    ascending order, and shapes follow those sizes lexicographically.
+    """
+    for s1 in range(1, m):
+        for s2 in range(s1, m):
+            for s3 in range(s2, m - 1 - s1 - s2):
+                yield s1, s2, s3
+    for s1 in range(1, m):
+        for s2 in range(s1, m):
+            if m - 1 - s1 - s2 >= s2:
+                yield s1, s2, m - 1 - s1 - s2

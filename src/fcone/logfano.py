@@ -7,10 +7,10 @@ Anti-ampleness of K_n + sum a_s B[s] is an affine condition per F-curve of
 the (n+1)-pointed space, plus one condition from the line-section degree.
 Both are written in closed form, and no divisor is built. Pulled back to
 the (n+1)-pointed space, the class has coefficient k(t) + a_t on a split
-whose side without label n+1 has t >= 2 labels, k(t) = max(t - 2, 0) being
-the coefficient of K_n on B[t], and 0 when t = 1; so an F-form depends only
-on the block sizes and on which block holds label n+1. The derivation
-through the pullbacks themselves is kept in the test suite as the reference.
+whose side without label n+1 has t >= 2 labels, k(t) = t - 2 being the
+coefficient of K_n on B[t], and 0 when t = 1; so an F-form depends only on
+the sizes of the three blocks without label n+1. The derivation through the
+pullbacks themselves is kept in the test suite as the reference.
 
 The solver is Fourier-Motzkin elimination with a strict/non-strict flag
 per inequality. Each input form is rescaled once to a primitive integer
@@ -30,9 +30,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .combinat import enumerate_four_partitions
+from .combinat import _shape_sizes, enumerate_four_partitions
 from .kmaps import BoundaryCombo, _check_key_labels, chs_ample
 from .mcurves import Verdict, f_curve_value
 from .rationals import RationalLike, as_rational, sum_by_key
@@ -138,40 +138,17 @@ class Bounds:
         return ",".join(items)
 
 
-def _f_form(m: int, sizes: Sequence[int], special: int) -> LinearForm:
-    # F-value c(I+J) + c(I+K) + c(I+L) - c(I) - c(J) - c(K) - c(L) of a
-    # partition with these block sizes, block ``special`` holding label m,
-    # where c is k(t) + a_t or 0 as in the module docstring
+def _f_form(i: int, j: int, k: int) -> LinearForm:
+    # F-value c(I+J) + c(I+K) + c(J+K) - c(I) - c(J) - c(K) - c(I+J+K) of a
+    # partition whose blocks without label m have sizes i, j, k, each term
+    # read on its side without m; c(t) is t - 2 + a_t for t >= 2 and 0 for
+    # t = 1, as in the module docstring
     const, coeffs = 0, {}
-    terms = [(sizes[0] + size, special in (0, j), 1) for j, size in enumerate(sizes) if j]
-    terms += [(size, special == j, -1) for j, size in enumerate(sizes)]
-    for size, holds_m, sign in terms:
-        t = m - size if holds_m else size
+    for t, sign in zip((i + j, i + k, j + k, i, j, k, i + j + k), (1, 1, 1, -1, -1, -1, -1)):
         if t >= 2:
-            const += sign * max(t - 2, 0)
+            const += sign * (t - 2)
             coeffs[t] = coeffs.get(t, 0) + sign
     return LinearForm.of(const, coeffs)
-
-
-def _shape_sizes(m: int) -> Iterator[tuple[int, int, int, int]]:
-    """Block sizes of one partition per orbit shape, label m in the last
-    block, in the order the shapes first occur along
-    ``enumerate_four_partitions(m)``.
-
-    A shape with label m in a block of two or more first occurs among the
-    minima (1, 2, 3, 4), one with m alone among (1, 2, 3, m). Within either
-    group the first partition fills the blocks in order with the smallest
-    free labels, so it gives the three blocks without m their sizes in
-    ascending order, and shapes follow those sizes lexicographically.
-    """
-    for s1 in range(1, m):
-        for s2 in range(s1, m):
-            for s3 in range(s2, m - 1 - s1 - s2):
-                yield s1, s2, s3, m - s1 - s2 - s3
-    for s1 in range(1, m):
-        for s2 in range(s1, m):
-            if m - 1 - s1 - s2 >= s2:
-                yield s1, s2, m - 1 - s1 - s2, 1
 
 
 def generate_constraints(n: int, reduced: bool = False) -> list[LinearForm]:
@@ -189,13 +166,11 @@ def generate_constraints(n: int, reduced: bool = False) -> list[LinearForm]:
         raise ValueError(f"constraint generation needs n >= 3, got {n}")
     m = n + 1
     if reduced:
-        forms = [_f_form(m, sizes, 3) for sizes in _shape_sizes(m)]
+        shapes = _shape_sizes(m)
     else:
-        forms = []
-        for P in enumerate_four_partitions(m):
-            # label m = n + 1 is bit n of a block's mask
-            special = next(j for j, p in enumerate(P) if p.mask >> n & 1)
-            forms.append(_f_form(m, [p.size for p in P], special))
+        # the block sizes without label m = n + 1, which is bit n of a mask
+        shapes = ([p.size for p in P if not p.mask >> n & 1] for P in enumerate_four_partitions(m))
+    forms = [_f_form(*sizes) for sizes in shapes]
     # -2 - k(n) - k(n-1) = 3 - 2n for every n >= 3
     forms.append(LinearForm.of(3 - 2 * n, {n: -1, n - 1: -1}))
     return forms

@@ -9,7 +9,7 @@ coefficient a curve-side class puts on one subset, and a scaled class.
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from fcone.combinat import FourPartition, PartitionShape, Subset, canonical_key
+from fcone.combinat import FourPartition, Subset, canonical_key
 from fcone.kmaps import KDivisor
 from fcone.mcurves import MDivisor
 
@@ -50,13 +50,13 @@ def scaled_class(c, H: MDivisor | KDivisor) -> MDivisor | KDivisor:
     )
 
 
-def shape_of(P: FourPartition, special: int) -> PartitionShape:
-    """The shape of one partition, read off its blocks."""
+def shape_of(P: FourPartition, special: int) -> tuple[int, ...]:
+    """The shape of one partition, read off its blocks: the sizes, ascending,
+    of the three blocks that do not hold ``special``."""
     m = P[0].m
     if not 1 <= special <= m:
         raise ValueError(f"special label {special} out of range 1..{m}")
-    sizes = tuple(sorted(p.size for p in P))
-    return PartitionShape(sizes, next(p.size for p in P if special in p.labels))
+    return tuple(sorted(p.size for p in P if special not in p.labels))
 
 
 def parse_partition(text: str, m: int) -> FourPartition:

@@ -46,7 +46,7 @@ def test_reduced_system_equals_pullback_reference(n):
     assert generate_constraints(n, reduced=True) == reference_constraints(n, reduced=True)
 
 
-@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_full_system_equals_pullback_reference(n):
     assert generate_constraints(n) == reference_constraints(n)
 

@@ -16,8 +16,8 @@ from combinat_reference import (
 )
 
 from fcone.combinat import (
-    PartitionShape,
     Subset,
+    _shape_sizes,
     canonical_key,
     enumerate_four_partitions,
     enumerate_shapes,
@@ -224,8 +224,8 @@ class TestShapes:
 
     def test_shape_values(self):
         P = parse_partition("{1}|{2}|{3}|{4,5}", 5)
-        assert shape_of(P, 5) == PartitionShape((1, 1, 1, 2), 2)
-        assert shape_of(P, 1) == PartitionShape((1, 1, 1, 2), 1)
+        assert shape_of(P, 5) == (1, 1, 1)
+        assert shape_of(P, 1) == (1, 1, 2)
 
     def test_invalid_special_rejected(self):
         with pytest.raises(ValueError):
@@ -242,7 +242,7 @@ def test_relabel_preserves_partition_validity(m_sigma):
     for P in itertools.islice(enumerate_four_partitions(m), 12):
         Q = relabel_partition(P, sigma)
         assert {lab for p in Q for lab in p.labels} == set(range(1, m + 1))
-        assert shape_of(Q, m).sizes == shape_of(P, m).sizes
+        assert sorted(p.size for p in Q) == sorted(p.size for p in P)
 
 
 @pytest.mark.parametrize("m", range(4, 11))
@@ -255,3 +255,10 @@ def test_enumerate_shapes_matches_shape_of_reference(m):
         for P in partitions:
             reference.setdefault(shape_of(P, special), P)
         assert enumerate_shapes(m, special) == list(reference.items())
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_closed_form_shapes_match_the_walk(m):
+    # _shape_sizes writes, without a walk, the shapes enumerate_shapes finds
+    # by first occurrence, in the same order
+    assert [sh for sh, _ in enumerate_shapes(m, m)] == list(_shape_sizes(m))

@@ -2,6 +2,7 @@
 each script."""
 
 import ast
+import hashlib
 import importlib
 import os
 import pkgutil
@@ -87,9 +88,9 @@ def _calls_outside(tree: ast.AST, builders: dict[str, str], enclosing: tuple[str
 
 
 def test_partition_records_built_only_by_their_enumerators():
-    # FourPartition and PartitionShape check nothing on construction: their
-    # enumerators build them valid, and the enumeration tests check that
-    builders = {"FourPartition": "enumerate_four_partitions", "PartitionShape": "enumerate_shapes"}
+    # FourPartition checks nothing on construction: its enumerator builds
+    # it valid, and the enumeration tests check that
+    builders = {"FourPartition": "enumerate_four_partitions"}
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -120,15 +121,24 @@ def test_every_exported_name_exists(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+# each script's line to find, and the sha256 of its whole stdout
 @pytest.mark.parametrize(
-    "argv, line",
+    "argv, line, sha256",
     [
-        (["reproduce_lemmas.py"], "with bounds a4>=0,a6<=1: INFEASIBLE"),
-        (["boundary_search.py", "--max-n", "7"], "n=6: INFEASIBLE"),
+        (
+            ["reproduce_lemmas.py"],
+            "with bounds a4>=0,a6<=1: INFEASIBLE",
+            "ca120f9b021527aac31fb6584d832aa3cacca950ecfab133d1240a5372969ba4",
+        ),
+        (
+            ["boundary_search.py", "--max-n", "7"],
+            "n=6: INFEASIBLE",
+            "4a46540566740dc62e6832d79dd275fda02d150ce5aabc1d1b5e1aadd11bdd6d",
+        ),
     ],
     ids=["reproduce_lemmas", "boundary_search"],
 )
-def test_script_runs(argv, line):
+def test_script_runs(argv, line, sha256):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -137,3 +147,4 @@ def test_script_runs(argv, line):
     )
     assert proc.returncode == 0, proc.stderr
     assert any(out.startswith(line) for out in proc.stdout.splitlines()), proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256, proc.stdout
