@@ -12,16 +12,18 @@ coefficient of K_n on B[t], and 0 when t = 1; so an F-form depends only on
 the sizes of the three blocks without label n+1. The derivation through the
 pullbacks themselves is kept in the test suite as the reference.
 
-The solver is Fourier-Motzkin elimination with a strict/non-strict flag
-per inequality. Each input form is rescaled once to a primitive integer
-row, one dense tuple over the system's variables that is also its table
-key, and elimination stays on such rows; every derived inequality records
-only the two rows and the weights that produced it.
-When a row reduces to an absurd constant inequality, that derivation is
-unwound once into nonnegative multipliers on the input forms, so
-infeasibility comes out as an explicit combination of the inputs, and
-feasibility comes out as a rational point. Both certificates re-check by
-plain substitution before they are returned.
+The solver is Fourier-Motzkin elimination with a strict/non-strict flag per
+inequality. Each input form is rescaled once to a primitive integer row,
+one dense tuple over the system's variables that is also its table key, and
+elimination stays on such rows; every derived inequality records only the
+two rows and the weights that produced it. A stage first combines only the
+pairs whose sum is constant and ends unbuilt at the first that contradicts.
+The certificate cannot change: a row built in stage s is read only by stage
+s + 1, and a contradiction ends the elimination. When a row reduces to an
+absurd constant inequality, that derivation is unwound once into
+nonnegative multipliers on the input forms, so infeasibility comes out as
+an explicit combination of the inputs, and feasibility as a rational point.
+Both certificates re-check by substitution before they are returned.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -265,14 +268,18 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Exact strict-aware feasibility by Fourier-Motzkin elimination.
 
-    Every working row is a dense primitive integer tuple, one entry per
-    sorted variable, and is its own table key. Eliminating column x from
-    rows p (entry b > 0) and q (entry -a < 0) forms a*p + b*q entry by
-    entry, column x cancelling, and divides out the gcd. Every row, input
-    or combined, passes one admission rule: a contradiction stops the
-    elimination, a constant row that holds is dropped, and any other row is
-    kept, with its two parent rows and their weights, if it is the strongest
-    for its coefficient vector. The variable eliminated next is the one
+    Eliminating column x from primitive integer rows p (entry b > 0) and q
+    (entry -a < 0) forms a*p + b*q, column x cancelling, and divides out the
+    gcd. Every row, input or combined, passes one admission rule: a
+    contradiction stops the elimination, a constant row that holds is
+    dropped, and any other row is kept, with its two parent rows and their
+    weights, if it is the strongest for its coefficient vector. A stage
+    combines first the pairs whose sum is constant, q's primitive
+    coefficients being minus p's, then every pair, each in (p, q) order: a
+    contradiction among the first ends it unbuilt. That changes no
+    certificate: a row built in stage s is read only by stage s + 1, and a
+    contradiction ends the elimination, so the first contradicting pair is
+    the certificate either way. The variable eliminated next is the one
     producing the fewest combination rows. One exit builds the result, the
     contradiction's derivation unwound into nonnegative multipliers on the
     input forms or a back-substituted rational point strictly inside every
@@ -334,9 +341,15 @@ def _eliminate(eff: Sequence[LinearForm], variables: Sequence[int]) -> tuple:
         neg = [r for r in rows if r.coeffs[x] < 0]
         stages.append((x, pos + neg))
         table = {key: r for key, r in table.items() if not key[x]}
-        for p in pos:
+        # the pairs whose sum is constant first, then every pair (see
+        # solve_feasibility), so a stage that contradicts keeps no row
+        opposite: dict[tuple[int, ...], list[_Row]] = {}
+        for q in neg:
+            opposite.setdefault(_direction(q.coeffs, -1), []).append(q)
+        constant = ((p, opposite.get(_direction(p.coeffs, 1), ())) for p in pos)
+        for p, partners in chain(constant, ((p, neg) for p in pos)):
             b = p.coeffs[x]
-            for q in neg:
+            for q in partners:
                 a = -q.coeffs[x]
                 coeffs = tuple(a * c + b * e for c, e in zip(p.coeffs, q.coeffs))
                 const = a * p.const + b * q.const
@@ -349,6 +362,11 @@ def _eliminate(eff: Sequence[LinearForm], variables: Sequence[int]) -> tuple:
                 if row := admit(coeffs, const, p.strict or q.strict, (p, q, a, b, g or a * b)):
                     return row, stages
     return None, stages
+
+
+def _direction(coeffs: tuple[int, ...], sign: int) -> tuple[int, ...]:
+    g = sign * gcd(*coeffs)  # sign times the primitive coefficient vector
+    return tuple(c // g for c in coeffs)
 
 
 def _pick_value(x: int, rows: Sequence[_Row], values: Sequence[Fraction]) -> Fraction:

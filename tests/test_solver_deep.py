@@ -1,5 +1,5 @@
 """The solver on the larger orbit-reduced systems: certificates pinned byte
-for byte at n = 10 and 11, and the memory a unit-box solve may take."""
+for byte at n = 10, 11 and 12, and the memory a unit-box solve may take."""
 
 import hashlib
 import json
@@ -43,6 +43,26 @@ def test_unit_box_solve_peak_memory(n, limit_mib):
         tracemalloc.stop()
     assert not result.feasible
     assert peak / 2**20 < limit_mib
+
+
+def test_unit_box_certificate_and_peak_memory_at_n_12():
+    # the last stage's contradicting pair is found before any of that
+    # stage's rows is built; building the stage whole first gave this same
+    # certificate with a 152.9 MiB peak
+    forms = generate_constraints(12, reduced=True)
+    tracemalloc.start()
+    try:
+        result = solve_feasibility(forms, Bounds.box(range(2, 13), 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.dumps(result.to_json_dict(), sort_keys=True)
+    assert (
+        hashlib.sha256(payload.encode()).hexdigest()
+        == "acfae12aa47f5887d51c6426f22adea16155f71ee1524160d7ceff2c9a42a4a0"
+    )
+    assert sum(1 for x in result.multipliers if x) == 10
+    assert peak / 2**20 < 16
 
 
 @pytest.mark.parametrize(
