@@ -83,7 +83,11 @@ def _json_text(obj, indent: str = "\n") -> str:
         return _json_string(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
-        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        items = [
+            _json_string(k) + ": "
+            + (_json_string(v) if isinstance(v, str) else _json_text(v, inner))
+            for k, v in obj.items()
+        ]
         ends = "{}"
     elif isinstance(obj, list) or hasattr(obj, "__next__"):
         items = [_json_text(v, inner) for v in obj]
@@ -287,7 +291,7 @@ def cmd_strata(args) -> int:
     corr = phi_divisor_map(args.n)
 
     def result() -> dict:
-        pairs = ({"delta": str(d), "b": str(b)} for d, b in corr)
+        pairs = ({"delta": d, "b": b} for d, b in corr.text_pairs())
         return {"n": corr.n, "pairs": pairs, "count": len(corr)}
 
     return _emit(args, {"n": args.n}, EXIT_OK, result, corr.tsv_lines)

@@ -23,8 +23,32 @@ __all__ = [
 # largest n whose 2^n - n - 1 B-keys are listed (about 1.05M at n = 20)
 MAX_KEY_LABELS = 20
 
-# decimal text of the labels below 64, so printing a block formats no int
-_LABEL_TEXT = tuple(map(str, range(64)))
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make: Callable[[int], object]) -> None:
+        self.make = make
+
+    def __missing__(self, key: int):
+        value = self[key] = self.make(key)
+        return value
+
+
+# key 256k + v: the labels 8k+1..8k+8 of the set bits of byte value v, comma-joined
+_BYTE_TEXT = _Memo(lambda k: ",".join(str(k // 256 * 8 + i + 1) for i in range(8) if k >> i & 1))
+
+
+def mask_text(mask: int) -> str:
+    """The labels of ``mask`` (bit i-1 holds label i) comma-joined in
+    ascending order, e.g. "1,3,4"; one table lookup per nonzero byte."""
+    out, key = [], 0
+    while mask:
+        if mask & 255:
+            out.append(_BYTE_TEXT[key | mask & 255])
+        mask >>= 8
+        key += 256
+    return ",".join(out)
 
 
 @dataclass(frozen=True)
@@ -92,12 +116,7 @@ class Subset:
         # built once per instance: the scan interns one Subset per block
         text = self.__dict__.get("_str")
         if text is None:
-            out, mask = [], self.mask
-            while mask:
-                lab = (mask & -mask).bit_length()
-                out.append(_LABEL_TEXT[lab] if lab < 64 else str(lab))
-                mask &= mask - 1
-            text = self.__dict__["_str"] = ",".join(out)
+            text = self.__dict__["_str"] = mask_text(self.mask)
         return text
 
 
@@ -105,14 +124,22 @@ def canonical_key(S: Subset) -> Subset:
     """Canonical divisor-key representative of a subset.
 
     The key stands for the unordered pair {S, S^c}; the representative is
-    the smaller side, ties going to the side containing label 1.
+    the side ``canonical_mask`` picks.
     """
     size = S.mask.bit_count()
     if size == 0 or size == S.m:
         raise ValueError(f"empty or full key {{{S}}} on m={S.m} is not a divisor class")
-    if 2 * size < S.m or (2 * size == S.m and S.mask & 1):
-        return S
-    return S.complement()
+    mask = canonical_mask(S.mask, S.m)
+    return S if mask == S.mask else Subset(mask, S.m)
+
+
+def canonical_mask(mask: int, m: int) -> int:
+    """The canonical side of the split {mask, its complement} of m labels:
+    the smaller side, ties going to the side containing label 1."""
+    size = mask.bit_count()
+    if 2 * size < m or (2 * size == m and mask & 1):
+        return mask
+    return mask ^ (1 << m) - 1
 
 
 class FourPartition(tuple[Subset, Subset, Subset, Subset]):
@@ -130,17 +157,6 @@ class FourPartition(tuple[Subset, Subset, Subset, Subset]):
 
     def __str__(self) -> str:
         return "{%s}|{%s}|{%s}|{%s}" % self
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``."""
-
-    def __init__(self, make: Callable[[int], object]) -> None:
-        self.make = make
-
-    def __missing__(self, key: int):
-        value = self[key] = self.make(key)
-        return value
 
 
 def _preorder(free: int) -> list[int]:

@@ -60,9 +60,14 @@ def boundary_keys(n: int) -> Iterator[Subset]:
     in deterministic (size, labels) order. Raises ``ValueError`` on the call
     when n > ``MAX_KEY_LABELS``."""
     _check_key_labels(n)
+    return (Subset(mask, n) for mask in _key_masks(n))
+
+
+def _key_masks(n: int) -> Iterator[int]:
+    """The masks of ``boundary_keys(n)``, in its order, with no bound check."""
     bits = [1 << i for i in range(n)]
     # combinations of distinct bits sum to their union, in label-tuple order
-    return (Subset(sum(c), n) for size in range(2, n + 1) for c in combinations(bits, size))
+    return (sum(c) for size in range(2, n + 1) for c in combinations(bits, size))
 
 
 @dataclass(frozen=True)

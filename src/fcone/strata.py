@@ -8,9 +8,10 @@ codimension one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .combinat import Subset, canonical_key
-from .kmaps import boundary_keys
+from .combinat import Subset, canonical_mask, mask_text
+from .kmaps import _check_key_labels, _key_masks
 
 __all__ = ["DivisorCorrespondence", "phi_divisor_map"]
 
@@ -22,9 +23,14 @@ class DivisorCorrespondence:
 
     n: int
 
-    def __iter__(self):
+    def _masks(self) -> Iterator[tuple[int, int]]:
+        """The pairs as masks, in one walk of the B-keys."""
         m = self.n + 3
-        return ((canonical_key(Subset(b.mask, m)), b) for b in boundary_keys(self.n))
+        return ((canonical_mask(b, m), b) for b in _key_masks(self.n))
+
+    def __iter__(self) -> Iterator[tuple[Subset, Subset]]:
+        n, m = self.n, self.n + 3
+        return ((Subset(d, m), Subset(b, n)) for d, b in self._masks())
 
     def __len__(self) -> int:
         return 2**self.n - self.n - 1
@@ -33,10 +39,17 @@ class DivisorCorrespondence:
     def pairs(self) -> tuple[tuple[Subset, Subset], ...]:
         return tuple(self)
 
-    def tsv_lines(self):
+    def text_pairs(self) -> Iterator[tuple[str, str]]:
+        """``(str(delta), str(b))`` for each pair, formatted from the masks
+        with no ``Subset`` built; a key kept as it is shares its B-key's text."""
+        for d, b in self._masks():
+            text = mask_text(b)
+            yield (text if d == b else mask_text(d)), text
+
+    def tsv_lines(self) -> Iterator[str]:
         """The TSV report line by line, without line ends."""
         yield "S\tDeltaKey\tBKey"
-        yield from (f"{b}\t{delta}\t{b}" for delta, b in self)
+        yield from (f"{b}\t{delta}\t{b}" for delta, b in self.text_pairs())
 
 
 def phi_divisor_map(n: int) -> DivisorCorrespondence:
@@ -50,5 +63,5 @@ def phi_divisor_map(n: int) -> DivisorCorrespondence:
     """
     if n < 2:
         raise ValueError(f"no boundary keys on n={n} < 2")
-    boundary_keys(n)  # the bound on n, checked when the key walk is made
+    _check_key_labels(n)
     return DivisorCorrespondence(n)

@@ -2,6 +2,7 @@
 canonical representatives, orbit shapes, determinism."""
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -19,8 +20,10 @@ from fcone.combinat import (
     Subset,
     _shape_sizes,
     canonical_key,
+    canonical_mask,
     enumerate_four_partitions,
     enumerate_shapes,
+    mask_text,
 )
 
 
@@ -74,7 +77,7 @@ class TestSubset:
             Subset.from_labels([6], 5)
 
     @given(st.integers(1, 80).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
-    @example((70, 1 | 1 << 62 | 1 << 63 | 1 << 64 | 1 << 69))  # labels past the text table
+    @example((70, 1 | 1 << 62 | 1 << 63 | 1 << 64 | 1 << 69))  # labels up to 70, past 64
     def test_labels_and_text_from_set_bits(self, m_mask):
         m, mask = m_mask
         S = Subset(mask, m)
@@ -82,6 +85,15 @@ class TestSubset:
         text = str(S)
         assert str(S) == text == ",".join(map(str, S.labels))
         assert Subset.parse(text, m) == S
+
+    def test_mask_text_joins_the_labels(self):
+        # seeded masks up to 80 labels: every byte of the text table, labels
+        # of 64 and above included
+        rng = random.Random(30)
+        for _ in range(3000):
+            m = rng.randint(1, 80)
+            mask = rng.getrandbits(m)
+            assert mask_text(mask) == ",".join(map(str, Subset(mask, m).labels))
 
 
 class TestCanonicalKey:
@@ -111,6 +123,15 @@ class TestCanonicalKey:
         assert canonical_key(key) == key
         assert canonical_key(S.complement()) == key
         assert key.size <= S.m - key.size
+
+    def test_mask_rule_is_the_key_rule(self):
+        # every nonempty proper mask on up to 10 labels: the smaller side,
+        # on a tie the side holding label 1
+        for m in range(2, 11):
+            full = (1 << m) - 1
+            for mask in range(1, full):
+                side = min(mask, mask ^ full, key=lambda s: (s.bit_count(), not s & 1))
+                assert canonical_mask(mask, m) == canonical_key(Subset(mask, m)).mask == side
 
 
 class TestFourPartition:

@@ -44,6 +44,12 @@ def test_large_sources_flip_to_complements():
     assert pair[0] == Subset.from_labels([6, 7, 8], 8)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_text_pairs_print_the_subset_pairs(n):
+    corr = phi_divisor_map(n)
+    assert list(corr.text_pairs()) == [(str(d), str(b)) for d, b in phi_divisor_map(n)]
+
+
 def test_tsv_format():
     lines = list(phi_divisor_map(2).tsv_lines())
     assert lines == ["S\tDeltaKey\tBKey", "1,2\t1,2\t1,2"]
